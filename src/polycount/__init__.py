@@ -38,6 +38,7 @@ from .graphs import (
     collapse_parallel,
     fatten,
     format_graph,
+    gadget_size,
     named_graph,
     parse_graph,
     partition_edges,
@@ -49,6 +50,7 @@ from .oracles import (
     forests_bruteforce,
     is_bruteforce,
     pm_bruteforce,
+    vc_bipartite,
     vc_bruteforce,
     vc_bruteforce_bucketed,
 )

@@ -17,8 +17,8 @@ from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import BudgetError
-from .graphs import BlockPartition, Multigraph, partition_edges, substitute_gadget
-from .oracles import OracleBudget, DEFAULT_BUDGET, vc_bruteforce
+from .graphs import BlockPartition, Multigraph, gadget_size, partition_edges, substitute_gadget
+from .oracles import OracleBudget, DEFAULT_BUDGET, vc_bipartite, vc_bruteforce
 from .polynomials import KroneckerSystem, VandermondeFactor, kronecker_apply, kronecker_solve
 from .transcripts import OracleTranscript
 
@@ -119,19 +119,22 @@ def _resolve_oracle(
     g: Multigraph,
     part: BlockPartition,
     budget: OracleBudget,
-) -> Callable[[Multigraph, Sequence[int]], int]:
+) -> Callable[[Sequence[int], int], tuple[str, int]]:
+    """A function of (ells, gadget vertex count) that answers the query and
+    names the oracle that did.  Only the oracles that read the gadget graph
+    build it."""
     if callable(oracle):
-        return lambda gadget, ells: oracle(gadget)
+        return lambda ells, n: ("custom", oracle(substitute_gadget(g, part, ells)))
     if oracle == "brute":
-        return lambda gadget, ells: vc_bruteforce(gadget, budget)
+        return lambda ells, n: ("brute", vc_bruteforce(substitute_gadget(g, part, ells), budget))
     if oracle == "conditioned":
-        return lambda gadget, ells: conditioned_vc(g, part, ells)
+        return lambda ells, n: ("conditioned", conditioned_vc(g, part, ells))
     if oracle == "auto":
 
-        def auto(gadget: Multigraph, ells: Sequence[int]) -> int:
-            if gadget.n <= budget.subset_vertices:
-                return vc_bruteforce(gadget, budget)
-            return conditioned_vc(g, part, ells)
+        def auto(ells: Sequence[int], n: int) -> tuple[str, int]:
+            if n <= budget.subset_vertices:
+                return "side-enumeration", vc_bipartite(substitute_gadget(g, part, ells), budget)
+            return "conditioned", conditioned_vc(g, part, ells)
 
         return auto
     raise ValueError(f"unknown oracle mode {oracle!r}; use brute, conditioned, or auto")
@@ -152,6 +155,10 @@ def count_is(
     genuine census (non-negative integers, zero on infeasible types, total
     2^n), and returns the number of types covering every edge, which equals
     the independent-set count by complementation.
+
+    In "auto" mode a query whose gadget graph has at most
+    budget.subset_vertices vertices goes to vc_bipartite, a larger one to
+    conditioned_vc.  Each transcript entry names the oracle that answered.
     """
     g = g.as_simple()
     budget = budget or DEFAULT_BUDGET
@@ -165,12 +172,12 @@ def count_is(
     transcript = OracleTranscript()
     rhs = {}
     for ells in product(range(1, size + 1), repeat=part.b):
-        gadget = substitute_gadget(g, part, ells)
-        answer = run_oracle(gadget, ells)
+        gadget_n, gadget_m = gadget_size(g, part, ells)
+        answered_by, answer = run_oracle(ells, gadget_n)
         rhs[ells] = Fraction(answer)
         transcript.record(
             purpose="bipartite vertex-cover query",
-            query={"ells": list(ells), "gadget_vertices": gadget.n, "gadget_edges": gadget.m},
+            query={"ells": list(ells), "oracle": answered_by, "gadget_vertices": gadget_n, "gadget_edges": gadget_m},
             answer=answer,
             derived="rhs entry",
         )

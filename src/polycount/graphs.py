@@ -367,9 +367,25 @@ def fatten(g: Multigraph, mults: Union[Mapping[int, int], Sequence[int]]) -> Mul
     return Multigraph(g.n, edges)
 
 
-def four_path_gadget_size(ell: int) -> tuple[int, int]:
-    """(internal vertices, edges) of the ell-fold four-path edge gadget."""
-    return 3 * ell, 4 * ell
+def _check_folds(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> Multigraph:
+    g = g.as_simple()
+    part.validate_cover(g)
+    if len(ells) != part.b:
+        raise ValueError(f"need one ell per block ({part.b}), got {len(ells)}")
+    if any(ell < 1 for ell in ells):
+        raise ValueError("gadget fold counts must be positive")
+    return g
+
+
+def gadget_size(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> tuple[int, int]:
+    """(vertices, edges) of substitute_gadget(g, part, ells), without building it.
+
+    Each of the L = sum_i |block_i| * ell_i four-edge paths adds three
+    vertices, so the result is (n + 3L, 4L).
+    """
+    g = _check_folds(g, part, ells)
+    paths = sum(len(block) * ell for block, ell in zip(part.blocks, ells))
+    return g.n + 3 * paths, 4 * paths
 
 
 def substitute_gadget(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> Multigraph:
@@ -380,12 +396,7 @@ def substitute_gadget(g: Multigraph, part: BlockPartition, ells: Sequence[int]) 
     both endpoints on the same side of the bipartition.  New vertices are
     appended after the original indices.
     """
-    g = g.as_simple()
-    part.validate_cover(g)
-    if len(ells) != part.b:
-        raise ValueError(f"need one ell per block ({part.b}), got {len(ells)}")
-    if any(ell < 1 for ell in ells):
-        raise ValueError("gadget fold counts must be positive")
+    g = _check_folds(g, part, ells)
     block_of = {}
     for i, block in enumerate(part.blocks):
         for edge_index in block:

@@ -451,15 +451,16 @@ def transpose_vandermonde_inverse(points: Sequence[int]) -> list[list[Rat]]:
 @dataclass
 class KroneckerSystem:
     """A right-hand side indexed by the full grid {1..N}^b together with the
-    factor whose b-fold Kronecker power is the system matrix."""
+    factor whose b-fold Kronecker power is the system matrix.  For b = 0 the
+    power is the 1x1 identity and the grid is the one empty index ()."""
 
     factor: VandermondeFactor
     b: int
     rhs: Mapping[tuple[int, ...], Rat]
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError("need at least one tensor mode")
+        if self.b < 0:
+            raise ValueError("tensor mode count must be non-negative")
         size = self.factor.size
         expected = size**self.b
         if len(self.rhs) != expected:

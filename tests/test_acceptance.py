@@ -24,6 +24,7 @@ from polycount import (
     forest_poly_sp,
     forest_value_bruteforce,
     gadget_counts,
+    gadget_size,
     is_bruteforce,
     named_graph,
     partition_edges,
@@ -32,6 +33,7 @@ from polycount import (
     stretch,
     stretched_edge_weight,
     substitute_gadget,
+    vc_bipartite,
     vc_bruteforce,
     vc_bruteforce_bucketed,
 )
@@ -188,7 +190,8 @@ def test_criterion_7_conditioned_counts():
         for ells in ell_list:
             h = substitute_gadget(g, part, ells)
             assert h.n <= 25, (d, ells, h.n)
-            assert conditioned_vc(g, part, ells) == vc_bruteforce(h)
+            assert gadget_size(g, part, ells) == (h.n, h.m)
+            assert conditioned_vc(g, part, ells) == vc_bruteforce(h) == vc_bipartite(h)
             checked += 1
     assert checked >= 15
     crit.done()

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -14,6 +15,7 @@ from polycount import (
     partition_edges,
     substitute_gadget,
     type_of,
+    vc_bipartite,
     vc_bruteforce,
     vc_bruteforce_bucketed,
 )
@@ -120,9 +122,19 @@ def test_count_is_d_and_oracle_choices():
             assert result.query_count == ((d + 1) ** 3) ** result.partition.b
 
 
+def answered_by(result):
+    return Counter(e.query["oracle"] for e in result.transcript.entries)
+
+
 def test_count_is_auto_mixes_oracles():
+    # gadgets of at most 25 vertices go to side enumeration: k2 at ell <= 7,
+    # c4 in blocks of two at ell_1 + ell_2 <= 3
     result = count_is(named_graph("k2"), 1, oracle="auto")
     assert result.count == 3
+    assert answered_by(result) == {"side-enumeration": 7, "conditioned": 1}
+    result = count_is(named_graph("c4"), 2, oracle="auto")
+    assert result.count == 7
+    assert answered_by(result) == {"side-enumeration": 3, "conditioned": 726}
 
 
 def test_count_is_custom_oracle():
@@ -138,6 +150,7 @@ def test_count_is_custom_oracle():
 
     result = count_is(g, 1, oracle=oracle)
     assert result.count == 3 and len(seen) == 8
+    assert answered_by(result) == {"custom": 8}
 
 
 def test_count_is_brute_oracle_budget():
@@ -151,6 +164,15 @@ def test_count_is_grid_budget():
         count_is(named_graph("c4"), 1, grid_budget=100)
 
 
+def test_count_is_edgeless_graph():
+    # no edges means no blocks: one query at the empty fold vector, answered 2^n
+    g = Multigraph(3, [])
+    for oracle, name in (("auto", "side-enumeration"), ("conditioned", "conditioned"), ("brute", "brute")):
+        result = count_is(g, 1, oracle=oracle)
+        assert result.count == 8 and result.census == {(): 8}, oracle
+        assert answered_by(result) == {name: 1}
+
+
 def test_count_is_disconnected_graph():
     g = Multigraph(5, [Edge(0, 1), Edge(2, 3)])
     assert count_is(g, 1).count == is_bruteforce(g) == 2 * 3 * 3
@@ -162,3 +184,19 @@ def test_transcript_records_every_query():
     entry = result.transcript.entries[0]
     assert entry.query["ells"] == [1]
     assert int(entry.answer) > 0
+
+
+def test_transcript_replays_on_the_recorded_oracle():
+    g = named_graph("p3")
+    result = count_is(g, 2)
+    part = result.partition
+
+    def rerun(query):
+        ells = query["ells"]
+        if query["oracle"] == "side-enumeration":
+            return vc_bipartite(substitute_gadget(g, part, ells))
+        assert query["oracle"] == "conditioned"
+        return conditioned_vc(g, part, ells)
+
+    assert answered_by(result) == {"side-enumeration": 3, "conditioned": 24}
+    assert result.transcript.replay(rerun) == []

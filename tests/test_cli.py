@@ -69,6 +69,20 @@ def test_reduce_bis_agree(capsys):
     assert "verdict: AGREE" in out
 
 
+def test_reduce_bis_edgeless(capsys, tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("p graph 3 0\n")
+    transcript = tmp_path / "t.jsonl"
+    code, out, _ = run(
+        capsys, "reduce", "bis", "--graph", str(path), "--d", "1", "--transcript", str(transcript),
+    )
+    assert code == 0
+    assert "answer: 8" in out
+    assert "verdict: AGREE" in out
+    (line,) = transcript.read_text().splitlines()
+    assert json.loads(line)["query"]["oracle"] == "side-enumeration"
+
+
 def test_oracle_commands(capsys):
     for kind, graph, expected in (
         ("pm", "c4", 2),

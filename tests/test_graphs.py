@@ -11,6 +11,7 @@ from polycount import (
     fatten,
     format_graph,
     forest_value_bruteforce,
+    gadget_size,
     named_graph,
     parse_graph,
     partition_edges,
@@ -174,6 +175,18 @@ def test_substitute_gadget_bipartite_and_counts():
         side0, _ = sides
         for e in g.edges:
             assert (e.u in side0) == (e.v in side0)
+
+
+def test_gadget_size_matches_substitution():
+    g = Multigraph(7, [Edge(0, 1), Edge(1, 2), Edge(4, 5)])  # two components and isolated 3 and 6
+    for d, ells in ((1, (1, 2, 3)), (2, (4, 1)), (3, (2,))):
+        part = partition_edges(g, d)
+        h = substitute_gadget(g, part, ells)
+        assert gadget_size(g, part, ells) == (h.n, h.m)
+    with pytest.raises(ValueError):
+        gadget_size(g, partition_edges(g, 1), (1, 1))
+    with pytest.raises(ValueError):
+        gadget_size(g, partition_edges(g, 3), (0,))
 
 
 def test_partition_edges():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polycount import (
     BudgetError,
@@ -12,9 +13,11 @@ from polycount import (
     is_bruteforce,
     named_graph,
     pm_bruteforce,
+    vc_bipartite,
     vc_bruteforce,
     vc_bruteforce_bucketed,
 )
+from polycount import oracles
 from polycount.verify import random_simple_graph
 
 
@@ -90,3 +93,43 @@ def test_multigraph_forests_count_copies():
     g = Multigraph(2, [Edge(0, 1, 3)])
     # subsets: empty, three single copies (any pair of copies is a cycle)
     assert forests_bruteforce(g) == 4
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Bipartite graphs on at most 14 vertices: any two side sizes (empty and
+    very unbalanced sides included), any set of edges between the sides (so
+    isolated vertices and several components occur), and shuffled labels so
+    the sides interleave."""
+    a = draw(st.integers(0, 14))
+    b = draw(st.integers(0, 14 - a))
+    pairs = [(i, a + j) for i in range(a) for j in range(b)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    perm = draw(st.permutations(range(a + b)))
+    return Multigraph(a + b, [Edge(perm[u], perm[v]) for u, v in chosen])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bipartite_graphs())
+@example(Multigraph(0, []))
+@example(Multigraph(13, [Edge(0, v) for v in range(1, 13)]))
+@example(Multigraph(9, [Edge(0, 1), Edge(2, 3), Edge(3, 4), Edge(5, 6), Edge(6, 7), Edge(7, 8)]))
+def test_vc_bipartite_matches_bruteforce(g):
+    assert vc_bipartite(g) == vc_bruteforce(g)
+
+
+def test_vc_bipartite_budget_is_on_the_smaller_side():
+    assert vc_bipartite(named_graph("k33"), OracleBudget(subset_vertices=3)) == 15
+    star = Multigraph(30, [Edge(0, v) for v in range(1, 30)])
+    assert vc_bipartite(star) == 2**29 + 1
+
+
+def test_vc_bipartite_rejects_before_enumerating(monkeypatch):
+    def enumerate_sides(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(oracles, "_side_cover_sum", enumerate_sides)
+    with pytest.raises(ValueError):
+        vc_bipartite(named_graph("k3"))
+    with pytest.raises(BudgetError):
+        vc_bipartite(named_graph("k33"), OracleBudget(subset_vertices=2))
