@@ -35,8 +35,6 @@ from .graphs import (
     Multigraph,
     WeightAssignment,
     add_apex,
-    collapse_parallel,
-    fatten,
     format_graph,
     gadget_size,
     named_graph,
@@ -65,12 +63,10 @@ from .polynomials import (
     KroneckerSystem,
     SparsePolynomial,
     VandermondeFactor,
-    build_vandermonde,
     grid_interpolate,
     kron,
     kron_det_check,
     kronecker_solve,
-    poly_eval,
 )
 
 __version__ = "0.1.0"

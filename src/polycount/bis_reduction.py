@@ -11,7 +11,6 @@ yields the vertex-cover count, which equals the independent-set count.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence, Union
@@ -119,13 +118,20 @@ def _resolve_oracle(
     g: Multigraph,
     part: BlockPartition,
     budget: OracleBudget,
+    max_fold: int,
 ) -> Callable[[Sequence[int], int], tuple[str, int]]:
     """A function of (ells, gadget vertex count) that answers the query and
     names the oracle that did.  Only the oracles that read the gadget graph
-    build it."""
+    build it.  The brute oracle checks its largest gadget, max_fold folds in
+    every block, against the subset budget before any query runs."""
     if callable(oracle):
         return lambda ells, n: ("custom", oracle(substitute_gadget(g, part, ells)))
     if oracle == "brute":
+        largest, _ = gadget_size(g, part, (max_fold,) * part.b)
+        if largest > budget.subset_vertices:
+            raise BudgetError(
+                f"largest gadget has {largest} vertices, exceeding the subset budget of {budget.subset_vertices}"
+            )
         return lambda ells, n: ("brute", vc_bruteforce(substitute_gadget(g, part, ells), budget))
     if oracle == "conditioned":
         return lambda ells, n: ("conditioned", conditioned_vc(g, part, ells))
@@ -158,7 +164,9 @@ def count_is(
 
     In "auto" mode a query whose gadget graph has at most
     budget.subset_vertices vertices goes to vc_bipartite, a larger one to
-    conditioned_vc.  Each transcript entry names the oracle that answered.
+    conditioned_vc.  In "brute" mode the largest gadget is checked against
+    budget.subset_vertices before the first query.  Each transcript entry
+    names the oracle that answered.
     """
     g = g.as_simple()
     budget = budget or DEFAULT_BUDGET
@@ -168,24 +176,20 @@ def count_is(
     n_queries = size**part.b
     if n_queries > grid_budget:
         raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {grid_budget}")
-    run_oracle = _resolve_oracle(oracle, g, part, budget)
+    run_oracle = _resolve_oracle(oracle, g, part, budget, size)
     transcript = OracleTranscript()
     rhs = {}
     for ells in product(range(1, size + 1), repeat=part.b):
         gadget_n, gadget_m = gadget_size(g, part, ells)
         answered_by, answer = run_oracle(ells, gadget_n)
-        rhs[ells] = Fraction(answer)
+        rhs[ells] = answer
         transcript.record(
             purpose="bipartite vertex-cover query",
             query={"ells": list(ells), "oracle": answered_by, "gadget_vertices": gadget_n, "gadget_edges": gadget_m},
             answer=answer,
             derived="rhs entry",
         )
-    system = KroneckerSystem(factor, part.b, rhs)
-    solution = kronecker_solve(system)
-    residual = kronecker_apply(factor, part.b, solution)
-    if residual != rhs:
-        raise RuntimeError("solver residual nonzero: recovered census does not reproduce the queries")
+    solution = kronecker_solve(KroneckerSystem(factor, part.b, rhs))
     census: dict[TypeMatrix, int] = {}
     total = 0
     for key, val in solution.items():
@@ -198,6 +202,8 @@ def count_is(
             raise RuntimeError(f"infeasible type {key} received nonzero census {iv}")
         census[key] = iv
         total += iv
+    if kronecker_apply(factor, part.b, census) != rhs:
+        raise RuntimeError("solver residual nonzero: recovered census does not reproduce the queries")
     if total != 2**g.n:
         raise RuntimeError(f"census totals {total}, expected 2^{g.n}")
     count = sum(v for t, v in census.items() if covers_all_edges(t))

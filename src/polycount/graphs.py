@@ -1,6 +1,6 @@
 """Multigraph data model, text format I/O, and the graph transformations
-used by the counting reductions (apex, stretch, fatten, gadget substitution,
-edge-block partition, parallel-bundle collapse).
+used by the counting reductions (apex, stretch, gadget substitution,
+edge-block partition).
 
 Vertices are dense integer indices 0..n-1.  Transformations that create new
 vertices always append them after the original indices, so the original
@@ -349,24 +349,6 @@ def stretch(g: Multigraph, k: int) -> Multigraph:
     return Multigraph(fresh, edges, simple=True)
 
 
-def fatten(g: Multigraph, mults: Union[Mapping[int, int], Sequence[int]]) -> Multigraph:
-    """Set edge multiplicities: edge record i gets multiplicity mults[i].
-
-    Missing indices keep multiplicity 1.  Zero is rejected; deleting edges
-    is a different operation.
-    """
-    g = g.as_simple()
-    if not isinstance(mults, Mapping):
-        mults = dict(enumerate(mults))
-    edges = []
-    for i, e in enumerate(g.edges):
-        mu = mults.get(i, 1)
-        if mu < 1:
-            raise ValueError(f"multiplicity {mu} for edge {i}; must be positive")
-        edges.append(Edge(e.u, e.v, mu, e.label))
-    return Multigraph(g.n, edges)
-
-
 def _check_folds(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> Multigraph:
     g = g.as_simple()
     part.validate_cover(g)
@@ -424,34 +406,6 @@ def partition_edges(g: Multigraph, d: int) -> BlockPartition:
     part = BlockPartition(blocks, d)
     part.validate_cover(g)
     return part
-
-
-def collapse_parallel(g: Multigraph, base: WeightAssignment) -> tuple[Multigraph, WeightAssignment]:
-    """Merge every parallel bundle into one edge whose weight is the bundle sum.
-
-    A bundle of records with multiplicities mu_r and rational weights w_r
-    becomes a single simple edge of weight sum(mu_r * w_r), which leaves the
-    forest generating function unchanged (a forest can use at most one copy).
-    """
-    weights = base.rational_values()
-    bundles: dict[frozenset[int], Fraction] = {}
-    labels: dict[frozenset[int], str] = {}
-    order: list[frozenset[int]] = []
-    for i, e in enumerate(g.edges):
-        key = frozenset((e.u, e.v))
-        if key not in bundles:
-            bundles[key] = Fraction(0)
-            labels[key] = e.label
-            order.append(key)
-        bundles[key] += e.mult * weights[i]
-    edges = []
-    vals: dict[int, Weight] = {}
-    for j, key in enumerate(order):
-        u, v = sorted(key)
-        edges.append(Edge(u, v, 1, labels[key]))
-        vals[j] = bundles[key]
-    out = Multigraph(g.n, edges, simple=True)
-    return out, WeightAssignment(out, vals)
 
 
 # ---------------------------------------------------------------------------

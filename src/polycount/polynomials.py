@@ -10,7 +10,7 @@ this module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
@@ -173,13 +173,47 @@ class SparsePolynomial:
         return cls(data["variables"], terms)
 
 
-def poly_eval(p: SparsePolynomial, point: Mapping[str, Rat]) -> Rat:
-    return p.evaluate(point)
-
-
 # ---------------------------------------------------------------------------
 # Grid interpolation
 # ---------------------------------------------------------------------------
+
+
+def node_polynomial_rows(nodes: Sequence[Rat]) -> tuple[list[list[Rat]], list[Rat]]:
+    """Undivided Lagrange rows on pairwise-distinct nodes.
+
+    Row i holds the monomial coefficients, low to high, of
+    master(t) / (t - nodes[i]) with master(t) = prod_j (t - nodes[j]), and
+    denominators[i] = prod_{j != i} (nodes[i] - nodes[j]).  Row i divided by
+    denominators[i] is the Lagrange basis polynomial that is 1 at nodes[i]
+    and 0 at the other nodes (Macon and Spitzbart, Inverses of Vandermonde
+    matrices, 1958).  Integer nodes give integer rows and denominators.
+    """
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation nodes must be pairwise distinct")
+    n = len(nodes)
+    master = [1]
+    for x in nodes:
+        nxt = [0] * (len(master) + 1)
+        for j, c in enumerate(master):
+            nxt[j + 1] += c
+            nxt[j] -= c * x
+        master = nxt
+    rows = []
+    denominators = []
+    for i, xi in enumerate(nodes):
+        # synthetic division: master / (t - xi)
+        q = [0] * n
+        carry = master[n]
+        for j in range(n - 1, -1, -1):
+            q[j] = carry
+            carry = master[j] + carry * xi
+        denom = 1
+        for j, xj in enumerate(nodes):
+            if j != i:
+                denom *= xi - xj
+        rows.append(q)
+        denominators.append(denom)
+    return rows, denominators
 
 
 def lagrange_coefficient_rows(nodes: Sequence[Rat]) -> list[list[Rat]]:
@@ -189,32 +223,8 @@ def lagrange_coefficient_rows(nodes: Sequence[Rat]) -> list[list[Rat]]:
     This is the exact inverse transpose of the Vandermonde matrix on the
     nodes; applying it to sampled values yields polynomial coefficients.
     """
-    nodes = [Fraction(x) for x in nodes]
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("interpolation nodes must be pairwise distinct")
-    n = len(nodes)
-    # master(t) = prod (t - x_j), coefficients low-to-high
-    master = [Fraction(1)]
-    for x in nodes:
-        nxt = [Fraction(0)] * (len(master) + 1)
-        for j, c in enumerate(master):
-            nxt[j + 1] += c
-            nxt[j] -= c * x
-        master = nxt
-    rows = []
-    for i, xi in enumerate(nodes):
-        # synthetic division: master / (t - xi)
-        q = [Fraction(0)] * n
-        carry = master[n]
-        for j in range(n - 1, -1, -1):
-            q[j] = carry
-            carry = master[j] + carry * xi
-        denom = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j != i:
-                denom *= xi - xj
-        rows.append([c / denom for c in q])
-    return rows
+    rows, denominators = node_polynomial_rows([Fraction(x) for x in nodes])
+    return [[c / denom for c in row] for row, denom in zip(rows, denominators)]
 
 
 def grid_interpolate(
@@ -288,13 +298,13 @@ def _apply_mode(
     outer = 1
     for s in sizes[:mode]:
         outer *= s
-    out = [Fraction(0)] * len(tensor)
+    out = [0] * len(tensor)
     for o in range(outer):
         base_o = o * n * inner
         for inn in range(inner):
             fiber = [tensor[base_o + i * inner + inn] for i in range(n)]
             for j in range(n):
-                acc = Fraction(0)
+                acc = 0
                 for i in range(n):
                     coeff = matrix[i][j] if transpose else matrix[j][i]
                     if fiber[i]:
@@ -379,14 +389,6 @@ def kron_det_check(a: Sequence[Sequence[Rat]], b: Sequence[Sequence[Rat]]) -> bo
 # The structured Vandermonde factor and its Kronecker powers
 # ---------------------------------------------------------------------------
 
-# Above this size, Gauss-Jordan on the factor is hopeless (entry bit sizes
-# make every pivot a megabit gcd), so the inverse switches to the
-# node-polynomial (Lagrange) construction, which only ever touches numbers
-# the size of the matrix entries.  Both paths are exact and are cross-checked
-# against each other in the test suite at small sizes.
-_GAUSS_JORDAN_LIMIT = 27
-
-
 @dataclass
 class VandermondeFactor:
     """The square integer matrix with rows ell = 1..(d+1)^3, columns indexed
@@ -398,7 +400,6 @@ class VandermondeFactor:
     """
 
     d: int
-    _inverse_cache: list[list[Rat]] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -426,26 +427,17 @@ class VandermondeFactor:
         bases = self.bases
         return [[b**ell for b in bases] for ell in range(1, self.size + 1)]
 
-    def inverse(self) -> list[list[Rat]]:
-        if self._inverse_cache is None:
-            if self.size <= _GAUSS_JORDAN_LIMIT:
-                self._inverse_cache = exact_inverse(self.matrix())
-            else:
-                self._inverse_cache = transpose_vandermonde_inverse(self.bases)
-        return self._inverse_cache
+    def inverse(self) -> tuple[list[list[int]], list[int]]:
+        """The exact inverse as integers (Q, D): A^-1[j][ell-1] = Q[j][ell-1] / D[j].
 
-
-def transpose_vandermonde_inverse(points: Sequence[int]) -> list[list[Rat]]:
-    """Exact inverse of the matrix A[ell][j] = points[j] ** ell, ell = 1..N.
-
-    A factors as W * diag(points) with W[ell][j] = points[j] ** (ell - 1), and
-    W is the transpose of the Vandermonde matrix on the points, whose inverse
-    rows are the Lagrange basis coefficients.  Hence
-    A^-1[j][ell-1] = (coefficient of t^(ell-1) in L_j(t)) / points[j].
-    """
-    pts = [Fraction(p) for p in points]
-    rows = lagrange_coefficient_rows(pts)
-    return [[c / pts[j] for c in rows[j]] for j in range(len(pts))]
+        A factors as W * diag(bases) with W[ell][j] = bases[j] ** (ell - 1),
+        the transpose of the Vandermonde matrix on the bases, whose inverse
+        rows are the Lagrange basis coefficients.  So Q holds the node
+        polynomial rows on the bases and D[j] = bases[j] * denominators[j].
+        """
+        bases = self.bases
+        rows, denominators = node_polynomial_rows(bases)
+        return rows, [p * denom for p, denom in zip(bases, denominators)]
 
 
 @dataclass
@@ -473,28 +465,33 @@ class KroneckerSystem:
 def kronecker_solve(system: KroneckerSystem) -> dict[tuple[tuple[int, int, int], ...], Rat]:
     """Solve (A tensor ... tensor A) x = rhs without materializing the power.
 
-    The exact inverse of the single factor is applied along each of the b
-    tensor modes in turn.  Keys of the result are b-tuples of column triples,
-    one per mode, in the same mode order as the rhs indices.
+    The integer rows Q of the factor's inverse are applied along each of the
+    b tensor modes in turn, and each entry is then divided once, by
+    D[j1] * ... * D[jb].  Integer right-hand sides stay integers until that
+    division.  Keys of the result are b-tuples of column triples, one per
+    mode, in the same mode order as the rhs indices.
     """
     factor = system.factor
     n = factor.size
     sizes = [n] * system.b
     # Flatten: first mode slowest, consistent with A (x) (A (x) ...) indexing.
-    tensor = [Fraction(0)] * (n**system.b)
+    tensor = [0] * (n**system.b)
     for key, val in system.rhs.items():
         flat = 0
         for e in key:
             flat = flat * n + (e - 1)
-        tensor[flat] = Fraction(val)
-    inv = factor.inverse()
+        tensor[flat] = val
+    rows, denominators = factor.inverse()
     for mode in range(system.b):
-        tensor = _apply_mode(tensor, sizes, mode, inv)
+        tensor = _apply_mode(tensor, sizes, mode, rows)
     taus = factor.taus
     out: dict[tuple[tuple[int, int, int], ...], Rat] = {}
     for flat, val in enumerate(tensor):
         idx = _unflatten(flat, sizes)
-        out[tuple(taus[i] for i in idx)] = val
+        denom = 1
+        for i in idx:
+            denom *= denominators[i]
+        out[tuple(taus[i] for i in idx)] = Fraction(val, denom)
     return out
 
 
@@ -503,13 +500,13 @@ def kronecker_apply(factor: VandermondeFactor, b: int, x: Mapping[tuple[tuple[in
     n = factor.size
     sizes = [n] * b
     tau_index = {tau: i for i, tau in enumerate(factor.taus)}
-    tensor = [Fraction(0)] * (n**b)
+    tensor = [0] * (n**b)
     for key, val in x.items():
         flat = 0
         for tau in key:
             flat = flat * n + tau_index[tau]
-        tensor[flat] = Fraction(val)
-    mat = [[Fraction(v) for v in row] for row in factor.matrix()]
+        tensor[flat] = val
+    mat = factor.matrix()
     for mode in range(b):
         tensor = _apply_mode(tensor, sizes, mode, mat)
     out: dict[tuple[int, ...], Rat] = {}
@@ -517,7 +514,3 @@ def kronecker_apply(factor: VandermondeFactor, b: int, x: Mapping[tuple[tuple[in
         idx = _unflatten(flat, sizes)
         out[tuple(i + 1 for i in idx)] = val
     return out
-
-
-def build_vandermonde(d: int) -> VandermondeFactor:
-    return VandermondeFactor(d)

@@ -286,9 +286,8 @@ def suite_kron(seed: int) -> SuiteResult:
         det = exact_det([[Fraction(x) for x in row] for row in factor.matrix()])
         res.check(det != 0, f"structured factor for d={d} is singular")
     # indicator and random round trips, applying the power then solving
-    for b in (1, 2, 3):
-        factor = VandermondeFactor(1)
-        size = factor.size
+    for d, b in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
+        factor = VandermondeFactor(d)
         x = {}
         for key in product(factor.taus, repeat=b):
             x[key] = Fraction(0)
@@ -297,10 +296,10 @@ def suite_kron(seed: int) -> SuiteResult:
             x[key] += rng.randint(0, 5)
         rhs = kronecker_apply(factor, b, x)
         solved = kronecker_solve(KroneckerSystem(factor, b, rhs))
-        res.check(solved == x, f"Kronecker solve round trip failed for b={b}")
+        res.check(solved == x, f"Kronecker solve round trip failed for d={d} b={b}")
         res.check(
             kronecker_apply(factor, b, solved) == rhs,
-            f"solution residual nonzero for b={b}",
+            f"solution residual nonzero for d={d} b={b}",
         )
     # interpolation round trip on random sparse polynomials
     for _ in range(20):

@@ -40,7 +40,7 @@ from polycount import (
 from polycount.bis_reduction import conditioned_vc, feasible_type
 from polycount.cli import main as cli_main
 from polycount.pm_reduction import block_interpolation, stretch_backed_oracle
-from polycount.polynomials import build_vandermonde, exact_det, kron_det_check
+from polycount.polynomials import VandermondeFactor, exact_det, kron_det_check
 from polycount.transcripts import OracleTranscript
 from polycount.verify import (
     MULTIGRAPH_ZOO,
@@ -224,7 +224,7 @@ def test_criterion_9_kronecker_determinants():
         b = [[F(rng.randint(-9, 9)) for _ in range(nb)] for _ in range(nb)]
         assert kron_det_check(a, b)
     for d in (1, 2):
-        mat = [[F(x) for x in row] for row in build_vandermonde(d).matrix()]
+        mat = [[F(x) for x in row] for row in VandermondeFactor(d).matrix()]
         assert exact_det(mat) != 0
     crit.done()
 

@@ -19,6 +19,7 @@ from polycount import (
     vc_bruteforce,
     vc_bruteforce_bucketed,
 )
+from polycount import bis_reduction
 from polycount.bis_reduction import covers_all_edges, feasible_type
 
 
@@ -153,10 +154,54 @@ def test_count_is_custom_oracle():
     assert answered_by(result) == {"custom": 8}
 
 
-def test_count_is_brute_oracle_budget():
-    # at d = 1 the fold count reaches 8, giving a 26-vertex gadget graph
+def test_count_is_brute_oracle_budget(monkeypatch):
+    # at d = 1 the fold count reaches 8, giving a 26-vertex gadget graph;
+    # the budget is checked on that largest gadget before the first scan
+    calls = []
+
+    def counting_vc_bruteforce(*args):
+        calls.append(args)
+        return vc_bruteforce(*args)
+
+    monkeypatch.setattr(bis_reduction, "vc_bruteforce", counting_vc_bruteforce)
     with pytest.raises(BudgetError):
         count_is(named_graph("k2"), 1, oracle="brute")
+    assert calls == []
+
+
+# K2 in one block: the census is {(1,0,0): 1, (0,1,0): 2, (0,0,1): 1}, and a
+# type tau = (t0, t1, t2) adds (2^t0 * 3^t1 * 5^t2)^ell to the query at ell.
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda ell: int(ell == 5), "not an integer"),
+        (lambda ell: -2 * 5**ell, "negative"),
+        (lambda ell: 6**ell, "infeasible"),
+        (lambda ell: 3**ell, "totals"),
+    ],
+)
+def test_count_is_rejects_corrupted_answers(corrupt, message):
+    def oracle(gadget):
+        ell = (gadget.n - 2) // 3  # K2 gadget graphs have 2 + 3*ell vertices
+        return vc_bipartite(gadget) + corrupt(ell)
+
+    with pytest.raises(RuntimeError, match=message):
+        count_is(named_graph("k2"), 1, oracle=oracle)
+
+
+def test_count_is_rejects_nonzero_residual(monkeypatch):
+    # a census that passes every other check but does not solve the system
+    real_solve = bis_reduction.kronecker_solve
+
+    def shifted_solve(system):
+        solution = real_solve(system)
+        solution[((0, 1, 0),)] -= 1
+        solution[((0, 0, 1),)] += 1
+        return solution
+
+    monkeypatch.setattr(bis_reduction, "kronecker_solve", shifted_solve)
+    with pytest.raises(RuntimeError, match="residual"):
+        count_is(named_graph("k2"), 1, oracle="conditioned")
 
 
 def test_count_is_grid_budget():

@@ -7,10 +7,7 @@ from polycount import (
     Multigraph,
     WeightAssignment,
     add_apex,
-    collapse_parallel,
-    fatten,
     format_graph,
-    forest_value_bruteforce,
     gadget_size,
     named_graph,
     parse_graph,
@@ -138,18 +135,6 @@ def test_stretch_rejects_zero():
         stretch(named_graph("k2"), 0)
 
 
-def test_fatten():
-    g = named_graph("k2")
-    f = fatten(g, {0: 3})
-    assert f.edges[0].mult == 3
-    assert fatten(g, {0: 1}) == g
-    p3 = named_graph("p3")
-    f = fatten(p3, (2, 5))
-    assert [e.mult for e in f.edges] == [2, 5]
-    with pytest.raises(ValueError):
-        fatten(g, {0: 0})
-
-
 def test_substitute_gadget_small():
     k2 = named_graph("k2")
     part = partition_edges(k2, 1)
@@ -207,32 +192,6 @@ def test_block_partition_validation():
         BlockPartition(((0, 1), (1, 2)), 2)  # overlap
     with pytest.raises(ValueError):
         BlockPartition(((0, 1, 2),), 2)  # too big
-
-
-def test_collapse_parallel():
-    g = Multigraph(2, [Edge(0, 1, 2)])
-    wa = WeightAssignment(g, {0: Fraction(3)})
-    simple, weights = collapse_parallel(g, wa)
-    assert simple.is_simple() and simple.m == 1
-    assert weights[0] == Fraction(6)
-
-    triple = Multigraph(2, [Edge(0, 1, 3)])
-    simple, weights = collapse_parallel(triple, WeightAssignment.uniform(triple, Fraction(1)))
-    assert weights[0] == Fraction(3)
-
-    g = named_graph("k3")
-    simple, weights = collapse_parallel(g, WeightAssignment.uniform(g, Fraction(5)))
-    assert simple == g.as_simple()
-    assert weights.rational_values() == {0: 5, 1: 5, 2: 5}
-
-
-def test_collapse_parallel_preserves_forest_sum():
-    g = Multigraph(3, [Edge(0, 1, 2), Edge(1, 2, 3), Edge(0, 2)])
-    wa = WeightAssignment(g, {0: Fraction(1, 2), 1: Fraction(-2), 2: Fraction(3)})
-    simple, weights = collapse_parallel(g, wa)
-    lhs = forest_value_bruteforce(g, wa.rational_values())
-    rhs = forest_value_bruteforce(simple, weights.rational_values())
-    assert lhs == rhs
 
 
 def test_weight_assignment_totality():

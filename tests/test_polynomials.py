@@ -1,4 +1,5 @@
 import random
+from operator import mul
 from fractions import Fraction
 from itertools import product
 
@@ -8,37 +9,35 @@ from polycount import (
     KroneckerSystem,
     SparsePolynomial,
     VandermondeFactor,
-    build_vandermonde,
     grid_interpolate,
     kron,
     kron_det_check,
     kronecker_solve,
-    poly_eval,
 )
 from polycount.polynomials import (
     exact_det,
     exact_inverse,
     kronecker_apply,
     lagrange_coefficient_rows,
-    transpose_vandermonde_inverse,
+    node_polynomial_rows,
 )
 
 F = Fraction
 
 
-def test_poly_eval_examples():
+def test_evaluate_examples():
     p = SparsePolynomial(("x",), {(0,): F(1), (1,): F(3), (2,): F(3)})
-    assert poly_eval(p, {"x": F(1)}) == 7  # forest count of the triangle
+    assert p.evaluate({"x": F(1)}) == 7  # forest count of the triangle
     q = SparsePolynomial(("x", "y"), {(1, 1): F(1)})
-    assert poly_eval(q, {"x": F(2), "y": F(3)}) == 6
+    assert q.evaluate({"x": F(2), "y": F(3)}) == 6
     r = SparsePolynomial(("x", "y"), {(0, 0): F(5), (2, 1): F(7)})
-    assert poly_eval(r, {"x": F(0), "y": F(0)}) == 5
+    assert r.evaluate({"x": F(0), "y": F(0)}) == 5
 
 
-def test_poly_eval_missing_binding():
+def test_evaluate_missing_binding():
     p = SparsePolynomial(("x", "y"), {(1, 0): F(1)})
     with pytest.raises(ValueError):
-        poly_eval(p, {"x": F(1)})
+        p.evaluate({"x": F(1)})
 
 
 def test_poly_substitute_and_str():
@@ -108,10 +107,14 @@ def test_grid_interpolate_roundtrip_random():
 def test_lagrange_rows_exact():
     rows = lagrange_coefficient_rows([F(2), F(3)])
     assert rows == [[F(3), F(-1)], [F(-2), F(1)]]
+    # undivided: master(t) = (t - 2)(t - 3), rows master / (t - x_i)
+    assert node_polynomial_rows([2, 3]) == ([[-3, 1], [-2, 1]], [-1, 1])
+    with pytest.raises(ValueError):
+        node_polynomial_rows([2, 2])
 
 
-def test_build_vandermonde_d1():
-    factor = build_vandermonde(1)
+def test_vandermonde_factor_d1():
+    factor = VandermondeFactor(1)
     assert factor.size == 8
     assert sorted(factor.bases) == [1, 2, 3, 5, 6, 10, 15, 30]
     tau_index = factor.taus.index((1, 1, 0))
@@ -122,29 +125,33 @@ def test_build_vandermonde_d1():
 
 def test_vandermonde_det_nonzero():
     for d in (1, 2):
-        mat = [[F(x) for x in row] for row in build_vandermonde(d).matrix()]
+        mat = [[F(x) for x in row] for row in VandermondeFactor(d).matrix()]
         assert exact_det(mat) != 0
 
 
 def test_vandermonde_inverse_paths_agree():
-    factor = build_vandermonde(1)
-    gj = exact_inverse([[F(x) for x in row] for row in factor.matrix()])
-    structured = transpose_vandermonde_inverse(factor.bases)
-    assert gj == structured
+    # the integer inverse against the Gauss-Jordan inverse over the
+    # rationals, at sizes 8 and 27
+    for d in (1, 2):
+        factor = VandermondeFactor(d)
+        q, denominators = factor.inverse()
+        assert all(type(c) is int for row in q for c in row)
+        assert all(type(den) is int and den != 0 for den in denominators)
+        reference = exact_inverse(factor.matrix())
+        n = factor.size
+        assert [[F(q[j][i], denominators[j]) for i in range(n)] for j in range(n)] == reference
 
 
 def test_structured_inverse_beyond_gauss_jordan_limit():
-    # d = 2 -> size 27 (Gauss-Jordan path); d = 3 -> size 64 (structured path)
-    factor = VandermondeFactor(3)
-    inv = factor.inverse()
-    mat = factor.matrix()
-    n = factor.size
-    rng = random.Random(3)
-    for _ in range(5):
-        j = rng.randrange(n)
-        col = [F(mat[i][j]) for i in range(n)]
-        result = [sum(inv[r][i] * col[i] for i in range(n)) for r in range(n)]
-        assert result == [F(int(r == j)) for r in range(n)]
+    # sizes 64 and 125, where Gauss-Jordan is too slow to serve as the
+    # reference: Q * A = diag(D) on every column
+    for d in (3, 4):
+        factor = VandermondeFactor(d)
+        q, denominators = factor.inverse()
+        columns = list(zip(*factor.matrix()))
+        for j, row in enumerate(q):
+            products = [sum(map(mul, row, col)) for col in columns]
+            assert products == [denominators[j] if i == j else 0 for i in range(factor.size)]
 
 
 def test_kron_det_check_examples():
@@ -160,7 +167,7 @@ def test_kron_det_check_examples():
 
 
 def test_kronecker_solve_known_combination():
-    factor = build_vandermonde(1)
+    factor = VandermondeFactor(1)
     weights = {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 1}
     rhs = {}
     for ell in range(1, 9):
@@ -175,7 +182,7 @@ def test_kronecker_solve_known_combination():
 
 
 def test_kronecker_solve_indicator():
-    factor = build_vandermonde(1)
+    factor = VandermondeFactor(1)
     tau0 = (1, 0, 1)
     j = factor.taus.index(tau0)
     rhs = {(ell,): F(factor.matrix()[ell - 1][j]) for ell in range(1, 9)}
@@ -184,7 +191,7 @@ def test_kronecker_solve_indicator():
 
 
 def test_kronecker_solve_indicator_two_modes():
-    factor = build_vandermonde(1)
+    factor = VandermondeFactor(1)
     tau_pair = ((1, 0, 0), (0, 1, 1))
     x = {key: F(int(key == tau_pair)) for key in product(factor.taus, repeat=2)}
     rhs = kronecker_apply(factor, 2, x)
@@ -194,7 +201,7 @@ def test_kronecker_solve_indicator_two_modes():
 
 def test_kronecker_roundtrip_b3():
     rng = random.Random(9)
-    factor = build_vandermonde(1)
+    factor = VandermondeFactor(1)
     x = {key: F(0) for key in product(factor.taus, repeat=3)}
     for _ in range(4):
         key = tuple(rng.choice(factor.taus) for _ in range(3))
@@ -205,6 +212,30 @@ def test_kronecker_roundtrip_b3():
 
 
 def test_kronecker_system_requires_total_rhs():
-    factor = build_vandermonde(1)
+    factor = VandermondeFactor(1)
     with pytest.raises(ValueError):
         KroneckerSystem(factor, 1, {(1,): F(1)})
+
+
+def test_kronecker_roundtrip_d2_b2_integer_census():
+    rng = random.Random(4)
+    factor = VandermondeFactor(2)
+    x = {key: 0 for key in product(factor.taus, repeat=2)}
+    for _ in range(6):
+        x[(rng.choice(factor.taus), rng.choice(factor.taus))] += rng.randint(1, 9)
+    rhs = kronecker_apply(factor, 2, x)
+    assert all(type(v) is int for v in rhs.values())
+    solution = kronecker_solve(KroneckerSystem(factor, 2, rhs))
+    assert solution == x
+    assert all(v.denominator == 1 for v in solution.values())
+
+
+def test_kronecker_solve_rational_rhs():
+    factor = VandermondeFactor(1)
+    rhs = {(ell,): F(ell * ell - 3, 7) for ell in range(1, factor.size + 1)}
+    solution = kronecker_solve(KroneckerSystem(factor, 1, rhs))
+    inverse = exact_inverse(factor.matrix())
+    for j, tau in enumerate(factor.taus):
+        assert solution[(tau,)] == sum(inverse[j][ell - 1] * rhs[(ell,)] for ell in range(1, factor.size + 1))
+    assert any(v.denominator != 1 for v in solution.values())
+    assert kronecker_apply(factor, 1, solution) == rhs
