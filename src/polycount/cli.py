@@ -22,7 +22,7 @@ from .csp import classify, count_affine, count_bruteforce, instance_from_json, r
 from .errors import BudgetError, GraphParseError
 from .forest import forest_poly_bruteforce, forest_poly_sp, tutte_y1
 from .graphs import Multigraph, NAMED_GRAPHS, WeightAssignment, named_graph, parse_graph
-from .oracles import forests_bruteforce, is_bruteforce, pm_bruteforce, vc_bruteforce
+from .oracles import DEFAULT_BUDGET, forests_bruteforce, is_bruteforce, pm_bruteforce, vc_bruteforce
 from .pm_reduction import PmReductionParams, count_pm
 from .verify import run_suites
 
@@ -120,6 +120,9 @@ def cmd_reduce_pm(args) -> int:
         params = PmReductionParams(C=args.C, x=parse_rational(args.x), k=args.k)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if g.n > DEFAULT_BUDGET.pm_vertices:
+        # the cross-check would refuse after the whole pipeline had run
+        raise BudgetError(f"{g.n} vertices exceeds the matching budget of {DEFAULT_BUDGET.pm_vertices}")
     result = count_pm(g, params)
     truth = pm_bruteforce(g)
     wall = int((time.monotonic() - start) * 1000)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import kernels
@@ -109,12 +110,10 @@ def forest_poly_bruteforce(
     return ForestPolyResult(poly, forest_count, max_size)
 
 
-def forest_value_bruteforce(
-    g: Multigraph, weights: Mapping[int, Rat], guard: int = ENUMERATION_GUARD
-) -> Rat:
+def forest_value_bruteforce(g: Multigraph, weights: Mapping[int, Rat]) -> Rat:
     """Exact weighted forest sum by enumeration; used as a ground-truth oracle."""
     class_of = [("val", Fraction(weights[i])) for i in range(g.m)]
-    class_order, profile = _profile_by_class(g, class_of, guard)
+    class_order, profile = _profile_by_class(g, class_of, ENUMERATION_GUARD)
     values = [key[1] for key in class_order]
     total = Fraction(0)
     for exps, cnt in profile.items():
@@ -148,29 +147,21 @@ def stretched_edge_weight(w: Rat, k: int) -> Rat:
 
 def _chain_factor(ws: Sequence[Rat]) -> Rat:
     """prod(1+w) - prod(w): the forest weight of all proper subsets of a chain."""
-    all_plus = Fraction(1)
-    all_used = Fraction(1)
-    for w in ws:
-        all_plus *= 1 + w
-        all_used *= w
-    return all_plus - all_used
+    return prod(1 + w for w in ws) - prod(ws)
 
 
-def forest_poly_sp(
-    g: Multigraph,
-    weights: Optional[Mapping[int, Rat]] = None,
-    core_guard: int = ENUMERATION_GUARD,
-) -> Rat:
+def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -> Rat:
     """Evaluate the weighted forest sum by graph reduction plus a small core.
 
-    Exhaustively applies value-preserving reductions: zero-weight edges are
-    dropped, parallel bundles collapse to their weight sum, pendant edges
-    contribute a factor (1 + w), and maximal chains through degree-2 vertices
-    of weights w_1..w_k collapse to a single edge of weight
-    prod(w)/ (prod(1+w) - prod(w)) with global prefactor prod(1+w) - prod(w)
-    (the k-stretch identity read backwards; a chain closing on itself just
-    contributes the prefactor).  Whatever remains is evaluated by enumeration
-    and must fit the core guard.
+    One worklist pass over adjacency maps (Haggard, Pearce and Royle,
+    Computing Tutte polynomials, ACM TOMS 2010): parallel copies add into one
+    bundle as they are inserted and a bundle summing to zero is dropped; a
+    pendant edge contributes a factor (1 + w); the maximal chain through a
+    degree-2 vertex, of weights w_1..w_k, collapses to a single edge of weight
+    prod(w) / (prod(1+w) - prod(w)) with global prefactor prod(1+w) - prod(w)
+    (the k-stretch identity read backwards; a cycle, or a chain closing on one
+    vertex, just contributes the prefactor).  Whatever remains is evaluated by
+    enumeration and must fit the enumeration guard.
 
     A chain whose prefactor vanishes is left for the core rather than divided
     by zero; uniform odd-length chains, the only kind the reduction pipelines
@@ -178,122 +169,62 @@ def forest_poly_sp(
     """
     if weights is None:
         weights = WeightAssignment.from_labels(g).rational_values()
-    # working copy: list of [u, v, weight]; multiplicities expand here and
-    # immediately re-merge in the first parallel pass.
-    work: list[list] = []
+    adj: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
+
+    def join(u: int, v: int, w: Fraction) -> None:
+        w += adj[u].get(v, 0)
+        if w:
+            adj[u][v] = adj[v][u] = w
+        elif v in adj[u]:
+            del adj[u][v], adj[v][u]
+
     for i, e in enumerate(g.edges):
-        wv = Fraction(weights[i])
-        for _ in range(e.mult):
-            work.append([e.u, e.v, wv])
+        join(e.u, e.v, e.mult * Fraction(weights[i]))
     prefactor = Fraction(1)
-    n = g.n
-
-    changed = True
-    while changed:
-        changed = False
-        # drop zero-weight edges
-        kept = [rec for rec in work if rec[2] != 0]
-        if len(kept) != len(work):
-            work = kept
-            changed = True
-        # merge parallel bundles
-        merged: dict[frozenset[int], Fraction] = {}
-        order = []
-        for u, v, wv in work:
-            key = frozenset((u, v))
-            if key not in merged:
-                merged[key] = Fraction(0)
-                order.append(key)
-            merged[key] += wv
-        if len(order) != len(work):
-            work = [[min(k), max(k), merged[k]] for k in order]
-            changed = True
-        # degree census
-        deg = [0] * n
-        incident: dict[int, list[int]] = {v: [] for v in range(n)}
-        for idx, (u, v, wv) in enumerate(work):
-            deg[u] += 1
-            deg[v] += 1
-            incident[u].append(idx)
-            incident[v].append(idx)
-        # pendant edges: factor (1 + w)
-        pendant = next(
-            (idx for idx, (u, v, wv) in enumerate(work) if deg[u] == 1 or deg[v] == 1),
-            None,
-        )
-        if pendant is not None:
-            prefactor *= 1 + work[pendant][2]
-            del work[pendant]
-            changed = True
-            continue
-        # maximal chain through a degree-2 vertex; skip chains whose factor
-        # vanishes (they stay for the core) and try the next one
-        for start in (v for v in range(n) if deg[v] == 2):
-            collapsed = _collapse_one_chain(work, incident, deg, start)
-            if collapsed is not None:
-                factor, replacement, removed = collapsed
-                prefactor *= factor
-                work = [rec for idx, rec in enumerate(work) if idx not in removed]
-                if replacement is not None:
-                    work.append(list(replacement))
-                changed = True
-                break
-    if work:
-        core = Multigraph(n, [Edge(u, v, 1, "w") for u, v, _ in work])
-        core_weights = {i: wv for i, (_, _, wv) in enumerate(work)}
-        total = forest_value_bruteforce(core, core_weights, guard=core_guard)
-    else:
-        total = Fraction(1)
-    return prefactor * total
+    stack = [v for v in range(g.n) if len(adj[v]) <= 2]
+    while stack:
+        v = stack.pop()
+        # degrees never grow, so a vertex pushed whenever it loses an edge is
+        # popped again whenever a rule may newly apply to it
+        if len(adj[v]) == 1:
+            ((u, w),) = adj[v].items()
+            prefactor *= 1 + w
+            del adj[v][u], adj[u][v]
+            stack.append(u)
+        elif len(adj[v]) == 2:
+            path = _chain_through(adj, v)
+            left, right = path[0], path[-1]
+            ws = [adj[a][b] for a, b in zip(path, path[1:])]
+            factor = _chain_factor(ws)
+            if left != right and factor == 0:
+                continue
+            prefactor *= factor
+            for a, b in zip(path, path[1:]):
+                del adj[a][b], adj[b][a]
+            if left != right:
+                join(left, right, prod(ws) / factor)
+            stack += (left, right)
+    core_edges = [(u, v, w) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
+    if not core_edges:
+        return prefactor
+    core = Multigraph(g.n, [Edge(u, v, 1, "w") for u, v, _ in core_edges])
+    return prefactor * forest_value_bruteforce(core, {i: w for i, (_, _, w) in enumerate(core_edges)})
 
 
-def _collapse_one_chain(work, incident, deg, start):
-    """Collapse the maximal degree-2 chain through `start`, if its factor
-    is nonzero.  Returns (factor, replacement edge or None, removed indices),
-    or None when every chain through start has a vanishing factor.
-    """
-
-    def other_end(idx: int, at: int) -> int:
-        u, v, _ = work[idx]
-        return v if u == at else u
-
-    # walk in both directions until a vertex of degree != 2 (or a loop back)
-    edges_path = []
-    left = start
-    first = incident[start][0]
-    edges_path.append(first)
-    left = other_end(first, start)
-    while deg[left] == 2 and left != start:
-        nxt = next(i for i in incident[left] if i != edges_path[-1])
-        edges_path.append(nxt)
-        left = other_end(nxt, left)
-    if left == start:
-        # isolated cycle component: all proper subsets survive
-        ws = [work[i][2] for i in edges_path]
-        return _chain_factor(ws), None, set(edges_path)
-    edges_back = []
-    right = start
-    second = incident[start][1]
-    edges_back.append(second)
-    right = other_end(second, start)
-    while deg[right] == 2:
-        nxt = next(i for i in incident[right] if i != edges_back[-1])
-        edges_back.append(nxt)
-        right = other_end(nxt, right)
-    chain = list(reversed(edges_path)) + edges_back
-    ws = [work[i][2] for i in chain]
-    factor = _chain_factor(ws)
-    if left == right:
-        # chain closes on a single attachment vertex: pure multiplicative
-        # factor (possibly zero), no replacement edge, no division
-        return factor, None, set(chain)
-    if factor == 0:
-        return None
-    weight = Fraction(1)
-    for w in ws:
-        weight *= w
-    weight /= factor
-    return factor, (left, right, weight), set(chain)
+def _chain_through(adj: list[dict[int, Fraction]], v: int) -> list[int]:
+    """Vertices of the maximal chain of degree-2 vertices through v, from one
+    end to the other; both ends are v when the chain is a whole cycle."""
+    halves = []
+    for first in adj[v]:
+        prev, cur, half = v, first, []
+        while len(adj[cur]) == 2 and cur != v:
+            half.append(cur)
+            prev, cur = cur, next(x for x in adj[cur] if x != prev)
+        half.append(cur)
+        if cur == v:
+            return [v] + half
+        halves.append(half)
+    return halves[0][::-1] + [v] + halves[1]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +232,7 @@ def _collapse_one_chain(work, incident, deg, start):
 # ---------------------------------------------------------------------------
 
 
-def tutte_y1(g: Multigraph, x: Rat, core_guard: int = ENUMERATION_GUARD) -> Rat:
+def tutte_y1(g: Multigraph, x: Rat) -> Rat:
     """Evaluate T(G; x, 1) = (x-1)^(n - components) * F(G; 1/(x-1)).
 
     Only forests survive at y = 1, which is what makes the bridge to the
@@ -312,7 +243,7 @@ def tutte_y1(g: Multigraph, x: Rat, core_guard: int = ENUMERATION_GUARD) -> Rat:
         raise ValueError("x = 1 is excluded: the forest-sum bridge divides by x - 1")
     g = g.as_simple()
     t = 1 / (x - 1)
-    value = forest_poly_sp(g, {i: t for i in range(g.m)}, core_guard=core_guard)
+    value = forest_poly_sp(g, {i: t for i in range(g.m)})
     return (x - 1) ** (g.n - g.component_count()) * value
 
 
@@ -401,21 +332,21 @@ def pm_coefficient_extract(apex_poly: SparsePolynomial, n: int) -> tuple[int, bo
 SimpleOracle = Callable[[Multigraph], Rat]
 
 
-def sp_simple_oracle(t: Rat, core_guard: int = ENUMERATION_GUARD) -> SimpleOracle:
+def sp_simple_oracle(t: Rat) -> SimpleOracle:
     """Evaluator of the forest sum at the fixed rational t on simple graphs."""
     t = Fraction(t)
 
     def oracle(h: Multigraph) -> Rat:
-        return forest_poly_sp(h, {i: t for i in range(h.m)}, core_guard=core_guard)
+        return forest_poly_sp(h, {i: t for i in range(h.m)})
 
     return oracle
 
 
-def bruteforce_simple_oracle(t: Rat, guard: int = ENUMERATION_GUARD) -> SimpleOracle:
+def bruteforce_simple_oracle(t: Rat) -> SimpleOracle:
     """Enumeration-backed evaluator at t; only viable on small query graphs."""
     t = Fraction(t)
 
     def oracle(h: Multigraph) -> Rat:
-        return forest_value_bruteforce(h, {i: t for i in range(h.m)}, guard=guard)
+        return forest_value_bruteforce(h, {i: t for i in range(h.m)})
 
     return oracle

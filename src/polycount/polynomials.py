@@ -48,12 +48,6 @@ class SparsePolynomial:
                     del clean[exps]
         self.terms = clean
 
-    @classmethod
-    def constant(cls, variables: Sequence[str], value: Rat) -> "SparsePolynomial":
-        value = Fraction(value)
-        zero = tuple(0 for _ in variables)
-        return cls(variables, {zero: value} if value else {})
-
     def evaluate(self, point: Mapping[str, Rat]) -> Rat:
         """Exact value at a point binding every variable."""
         missing = [v for v in self.variables if v not in point]
@@ -91,31 +85,6 @@ class SparsePolynomial:
             raise ValueError(f"unknown variable {name!r}")
         pos = self.variables.index(name)
         return max((exps[pos] for exps in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(exps) for exps in self.terms), default=0)
-
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.variables != other.variables:
-            raise ValueError("variable lists differ")
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, Fraction(0)) + coeff
-        return SparsePolynomial(self.variables, merged)
-
-    def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.variables != other.variables:
-            raise ValueError("variable lists differ")
-        out: dict[tuple[int, ...], Rat] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return SparsePolynomial(self.variables, out)
-
-    def scale(self, factor: Rat) -> "SparsePolynomial":
-        factor = Fraction(factor)
-        return SparsePolynomial(self.variables, {e: c * factor for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (

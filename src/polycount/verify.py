@@ -198,15 +198,17 @@ def suite_stretch(seed: int) -> SuiteResult:
                     f"stretch identity failed: graph=<{format_graph(g).strip()}> k={k} w={w}: "
                     f"{lhs} != {rhs}",
                 )
-    # sp engine agrees with enumeration on the zoo at several weights
-    for g in graphs:
-        for w in (Fraction(1), Fraction(-1, 2), Fraction(2, 3)):
-            weights = {i: w for i in range(g.m)}
-            res.check(
-                forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights),
-                f"series-parallel evaluator disagrees with enumeration on "
-                f"<{format_graph(g).strip()}> at w={w}",
-            )
+    # sp engine agrees with enumeration on the zoo at several weights, and on
+    # 2-stretches at w = -1/2, whose chains all have a vanishing factor
+    cases = [(g, w) for g in graphs for w in (Fraction(1), Fraction(-1, 2), Fraction(2, 3))]
+    cases += [(stretch(g, 2), Fraction(-1, 2)) for g in graphs]
+    for g, w in cases:
+        weights = {i: w for i in range(g.m)}
+        res.check(
+            forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights),
+            f"series-parallel evaluator disagrees with enumeration on "
+            f"<{format_graph(g).strip()}> at w={w}",
+        )
     return res
 
 

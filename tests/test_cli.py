@@ -62,6 +62,17 @@ def test_reduce_pm_x_one_usage_error(capsys):
     assert code == 1
 
 
+def test_reduce_pm_over_budget_skips_pipeline(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "m9.txt"
+    path.write_text("p graph 18 9\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(9)))
+    calls = []
+    monkeypatch.setattr("polycount.cli.count_pm", lambda *args: calls.append(args))
+    code, _, err = run(capsys, "reduce", "pm", "--graph", str(path), "--C", "18")
+    assert code == 3
+    assert "18 vertices exceeds the matching budget of 16" in err
+    assert calls == []
+
+
 def test_reduce_bis_agree(capsys):
     code, out, _ = run(capsys, "reduce", "bis", "--graph", "k3", "--d", "3")
     assert code == 0

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polycount import forest
 from polycount import (
     BudgetError,
     Edge,
@@ -98,6 +100,96 @@ def test_forest_sp_reduces_stretched_graphs():
         named_graph("petersen"), {i: stretched_edge_weight(F(1), 5) for i in range(m)}
     )
     assert value == (F(2) ** 5 - 1) ** m * inner
+
+
+SP_WEIGHTS = [F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2), F(3)]
+
+
+@st.composite
+def weighted_multigraphs(draw):
+    """Multigraphs on at most 7 vertices with total multiplicity at most 14,
+    one weight per record drawn from a pool with 0, -1 and -1/2."""
+    n = draw(st.integers(0, 7))
+    edges = []
+    if n >= 2:
+        budget = 14
+        vertex = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=10)):
+            mult = draw(st.integers(1, 3))
+            if u != v and mult <= budget:
+                edges.append(Edge(u, v, mult))
+                budget -= mult
+    g = Multigraph(n, edges)
+    return g, {i: draw(st.sampled_from(SP_WEIGHTS)) for i in range(g.m)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_multigraphs())
+def test_forest_sp_matches_enumeration_on_random_multigraphs(case):
+    g, weights = case
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+
+
+K4_ON_0456 = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
+
+
+def _hub_pair(extra):
+    """Hubs 0 and 1 joined through 2 and through 3, plus the given edges."""
+    return [Edge(0, 2), Edge(2, 1), Edge(0, 3), Edge(3, 1)] + extra
+
+
+@pytest.mark.parametrize(
+    "g, weights",
+    [
+        # parallel copies whose weights cancel, inside a triangle
+        (Multigraph(3, [Edge(0, 1), Edge(0, 1), Edge(1, 2), Edge(0, 2)]), [F(2), F(-2), F(1), F(1)]),
+        (Multigraph(3, [Edge(0, 1, 2), Edge(1, 0), Edge(1, 2), Edge(0, 2)]), [F(1), F(-2), F(1, 2), F(3)]),
+        # a 4-cycle hanging off vertex 0 at w = -1/2: its factor is zero
+        (
+            Multigraph(7, [Edge(i, (i + 1) % 4) for i in range(4)] + [Edge(u, v) for u, v in K4_ON_0456]),
+            [F(-1, 2)] * 4 + [F(2)] * 6,
+        ),
+        # a whole 5-cycle component beside a triangle
+        (
+            Multigraph(8, [Edge(i, (i + 1) % 5) for i in range(5)] + [Edge(5, 6), Edge(6, 7), Edge(5, 7)]),
+            [F(2, 3)] * 8,
+        ),
+        # even stretches at w = -1/2: every chain stays for the core
+        (stretch(named_graph("k4"), 2), [F(-1, 2)] * 12),
+        (stretch(named_graph("c4"), 2), [F(-1, 2)] * 8),
+        (stretch(Multigraph(3, [Edge(0, 1, 2), Edge(1, 2), Edge(0, 2)]), 2), [F(-1, 2)] * 8),
+        # the chain 0-4-1 becomes an edge of weight 1/3 that cancels the bundle 0-1
+        (Multigraph(5, _hub_pair([Edge(0, 1), Edge(0, 4), Edge(4, 1)])), [F(1)] * 4 + [F(-1, 3), F(1), F(1)]),
+    ],
+)
+def test_forest_sp_fixed_cases(g, weights):
+    weights = dict(enumerate(weights))
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+
+
+def _sp_core(monkeypatch, g, t):
+    """Run forest_poly_sp at weight t and return the core edge list it enumerates."""
+    cores = []
+    enumerate_core = forest.forest_value_bruteforce
+
+    def record(core, weights):
+        cores.append([(e.u, e.v) for e in core.edges])
+        return enumerate_core(core, weights)
+
+    monkeypatch.setattr(forest, "forest_value_bruteforce", record)
+    forest_poly_sp(g, {i: t for i in range(g.m)})
+    (core,) = cores
+    return core
+
+
+def test_forest_sp_core_shape(monkeypatch):
+    petersen = named_graph("petersen")
+    pairs = sorted((min(e.u, e.v), max(e.u, e.v)) for e in petersen.edges)
+    # every 3-chain collapses back to its Petersen edge
+    assert sorted(_sp_core(monkeypatch, stretch(petersen, 3), F(1))) == pairs
+    # no rule applies to Petersen: the core is the input in input order
+    sorted_petersen = Multigraph(10, [Edge(u, v) for u, v in pairs])
+    assert _sp_core(monkeypatch, sorted_petersen, F(1, 2)) == pairs
 
 
 def test_stretched_edge_weight():
