@@ -24,6 +24,8 @@ from .transcripts import OracleTranscript
 TypeMatrix = tuple[tuple[int, int, int], ...]
 BipartiteOracle = Callable[[Multigraph], int]
 
+CONDITIONING_GUARD = 20  # original-graph vertices; conditioned_vc scans 2^n sets
+
 
 def gadget_counts(ell: int) -> tuple[int, int, int]:
     """Vertex-cover counts of the ell-fold four-path gadget, bucketed by
@@ -66,12 +68,7 @@ def covers_all_edges(t: TypeMatrix) -> bool:
     return all(row[0] == 0 for row in t)
 
 
-def conditioned_vc(
-    g: Multigraph,
-    part: BlockPartition,
-    ells: Sequence[int],
-    guard: int = 20,
-) -> int:
+def conditioned_vc(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> int:
     """Vertex covers of the gadget-substituted graph, computed on the
     original graph: sum over all S of the product over blocks of
     (2^t1 * 3^t2 * 5^t3)^ell, where (t1,t2,t3) is S's census for the block.
@@ -83,8 +80,8 @@ def conditioned_vc(
     part.validate_cover(g)
     if len(ells) != part.b:
         raise ValueError(f"need one ell per block ({part.b}), got {len(ells)}")
-    if g.n > guard:
-        raise BudgetError(f"{g.n} vertices exceeds the conditioning guard of {guard}")
+    if g.n > CONDITIONING_GUARD:
+        raise BudgetError(f"{g.n} vertices exceeds the conditioning guard of {CONDITIONING_GUARD}")
     total = 0
     for mask in range(1 << g.n):
         prod_term = 1

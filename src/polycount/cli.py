@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import kernels
 from .bis_reduction import count_is
 from .csp import classify, count_affine, count_bruteforce, instance_from_json, relations_from_json
 from .errors import BudgetError, GraphParseError
@@ -287,13 +286,6 @@ def cmd_csp(args) -> int:
     return exit_code
 
 
-def cmd_bench(args) -> int:
-    from .bench import run_benchmarks
-
-    run_benchmarks(repeat=args.repeat)
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # Wiring
 # ---------------------------------------------------------------------------
@@ -343,10 +335,6 @@ def build_parser() -> Parser:
     p.add_argument("kind", choices=["classify", "count"])
     p.add_argument("--input", required=True, help="JSON relations/instance file")
     p.set_defaults(fn=cmd_csp)
-
-    p = sub.add_parser("bench", help=f"compare kernel backends (current: {kernels.BACKEND})")
-    p.add_argument("--repeat", type=int, default=3)
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 from . import kernels
 from .errors import BudgetError
 from .graphs import Multigraph
+from .oracles import DEFAULT_BUDGET, OracleBudget
 
 
 @dataclass(frozen=True)
@@ -157,24 +158,14 @@ def count_affine(inst: CspInstance) -> int:
     return 2 ** (inst.n - len(pivots))
 
 
-def count_bruteforce(inst: CspInstance, max_vars: int = 24) -> int:
+def count_bruteforce(inst: CspInstance, budget: Optional[OracleBudget] = None) -> int:
     """Exact model count by enumerating all assignments."""
-    if inst.n > max_vars:
-        raise BudgetError(f"{inst.n} variables exceeds the enumeration budget of {max_vars}")
-    if all(inst.relations[rid].arity <= 6 for rid, _ in inst.constraints):
-        relmasks = [inst.relations[rid].mask() for rid, _ in inst.constraints]
-        arities = [inst.relations[rid].arity for rid, _ in inst.constraints]
-        scopes = [list(scope) for _, scope in inst.constraints]
-        return kernels.count_csp_models(inst.n, relmasks, arities, scopes)
-    # wide relations: plain set-lookup path
-    count = 0
-    for a in range(1 << inst.n):
-        if all(
-            tuple((a >> v) & 1 for v in scope) in inst.relations[rid].tuples
-            for rid, scope in inst.constraints
-        ):
-            count += 1
-    return count
+    budget = budget or DEFAULT_BUDGET
+    if inst.n > budget.csp_vars:
+        raise BudgetError(f"{inst.n} variables exceeds the enumeration budget of {budget.csp_vars}")
+    relmasks = [inst.relations[rid].mask() for rid, _ in inst.constraints]
+    scopes = [scope for _, scope in inst.constraints]
+    return kernels.count_csp_models(inst.n, relmasks, scopes)
 
 
 def imp2sat_from_bipartite(

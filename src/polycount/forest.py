@@ -161,7 +161,8 @@ def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -
     prod(w) / (prod(1+w) - prod(w)) with global prefactor prod(1+w) - prod(w)
     (the k-stretch identity read backwards; a cycle, or a chain closing on one
     vertex, just contributes the prefactor).  Whatever remains is evaluated by
-    enumeration and must fit the enumeration guard.
+    enumeration and must fit the enumeration guard, unless the prefactor is
+    already zero, which is then the answer.
 
     A chain whose prefactor vanishes is left for the core rather than divided
     by zero; uniform odd-length chains, the only kind the reduction pipelines
@@ -204,6 +205,8 @@ def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -
             if left != right:
                 join(left, right, prod(ws) / factor)
             stack += (left, right)
+    if prefactor == 0:
+        return prefactor
     core_edges = [(u, v, w) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
     if not core_edges:
         return prefactor
@@ -252,12 +255,7 @@ def tutte_y1(g: Multigraph, x: Rat) -> Rat:
 # ---------------------------------------------------------------------------
 
 
-def apex_rhs(
-    g: Multigraph,
-    wval: Rat,
-    zvals: Sequence[Rat],
-    guard: int = ENUMERATION_GUARD,
-) -> Rat:
+def apex_rhs(g: Multigraph, wval: Rat, zvals: Sequence[Rat]) -> Rat:
     """Closed form for the forest sum of the apexed graph, computed on the
     original graph: sum over forests A of wval^|A| times, per tree component
     (singletons included), the factor 1 + sum of z over the tree's vertices.
@@ -265,8 +263,8 @@ def apex_rhs(
     g = g.as_simple()
     if len(zvals) != g.n:
         raise ValueError(f"need one z value per vertex ({g.n}), got {len(zvals)}")
-    if g.m > guard:
-        raise BudgetError(f"{g.m} edges exceeds the enumeration guard of {guard}")
+    if g.m > ENUMERATION_GUARD:
+        raise BudgetError(f"{g.m} edges exceeds the enumeration guard of {ENUMERATION_GUARD}")
     wval = Fraction(wval)
     zvals = [Fraction(z) for z in zvals]
     parent = list(range(g.n))

@@ -20,7 +20,7 @@ from .graphs import Multigraph
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Per-oracle size limits (vertices or edges)."""
+    """Per-oracle size limits (vertices, edges or variables)."""
 
     pm_vertices: int = 16
     subset_vertices: int = 25

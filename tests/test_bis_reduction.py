@@ -70,6 +70,12 @@ def test_conditioned_vc_examples():
     assert vc_bruteforce(h) == 13
 
 
+def test_conditioned_vc_guard():
+    path = Multigraph(21, [Edge(i, i + 1) for i in range(20)])
+    with pytest.raises(BudgetError, match="conditioning guard of 20"):
+        conditioned_vc(path, partition_edges(path, 20), (1,))
+
+
 def test_conditioned_vc_matches_bruteforce():
     cases = [
         (named_graph("k2"), 1),

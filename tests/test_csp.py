@@ -6,6 +6,7 @@ import pytest
 from polycount import (
     BooleanRelation,
     CspInstance,
+    OracleBudget,
     classify,
     count_affine,
     count_bruteforce,
@@ -98,6 +99,25 @@ def test_count_bruteforce_examples():
     assert count_bruteforce(parity) == count_affine(parity) == 4
 
 
+def _weight_relation(arity, weights):
+    """All tuples of the given arity whose number of ones is in weights."""
+    strings = [format(t, f"0{arity}b") for t in range(1 << arity)]
+    return BooleanRelation.from_bitstrings(arity, [s for s in strings if s.count("1") in weights])
+
+
+def test_count_bruteforce_wide_relations():
+    or7 = _weight_relation(7, range(1, 8))
+    exactly_one8 = _weight_relation(8, {1})
+    # at least one of seven variables set: 2^7 - 1
+    assert count_bruteforce(CspInstance(7, (or7,), ((0, tuple(range(7))),))) == 127
+    # exactly one of variables 1..8 set, variable 0 free: 8 * 2
+    assert count_bruteforce(CspInstance(9, (exactly_one8,), ((0, tuple(range(1, 9))),))) == 16
+    # both, overlapping on variables 1..6: exactly one of 1..8 set, and it is
+    # one of 1..6 unless variable 0 is set (6 + 8)
+    both = CspInstance(9, (or7, exactly_one8), ((0, tuple(range(7))), (1, tuple(range(1, 9)))))
+    assert count_bruteforce(both) == 14
+
+
 def test_count_affine_matches_bruteforce_random():
     rng = random.Random(29)
     for _ in range(60):
@@ -185,3 +205,7 @@ def test_bruteforce_budget():
     inst = CspInstance(25, (), ())
     with pytest.raises(BudgetError):
         count_bruteforce(inst)
+    small = CspInstance(4, (), ())
+    assert count_bruteforce(small, OracleBudget(csp_vars=4)) == 16
+    with pytest.raises(BudgetError):
+        count_bruteforce(small, OracleBudget(csp_vars=3))

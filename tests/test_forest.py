@@ -167,19 +167,25 @@ def test_forest_sp_fixed_cases(g, weights):
     assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
 
 
-def _sp_core(monkeypatch, g, t):
-    """Run forest_poly_sp at weight t and return the core edge list it enumerates."""
+def _record_cores(monkeypatch):
+    """Record each core that forest_poly_sp enumerates; return the list."""
     cores = []
     enumerate_core = forest.forest_value_bruteforce
 
     def record(core, weights):
-        cores.append([(e.u, e.v) for e in core.edges])
+        cores.append(core)
         return enumerate_core(core, weights)
 
     monkeypatch.setattr(forest, "forest_value_bruteforce", record)
+    return cores
+
+
+def _sp_core(monkeypatch, g, t):
+    """Run forest_poly_sp at weight t and return the core edge list it enumerates."""
+    cores = _record_cores(monkeypatch)
     forest_poly_sp(g, {i: t for i in range(g.m)})
     (core,) = cores
-    return core
+    return [(e.u, e.v) for e in core.edges]
 
 
 def test_forest_sp_core_shape(monkeypatch):
@@ -190,6 +196,30 @@ def test_forest_sp_core_shape(monkeypatch):
     # no rule applies to Petersen: the core is the input in input order
     sorted_petersen = Multigraph(10, [Edge(u, v) for u, v in pairs])
     assert _sp_core(monkeypatch, sorted_petersen, F(1, 2)) == pairs
+
+
+def test_forest_sp_zero_prefactor_skips_core(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # a 4-cycle hanging off vertex 0 at w = -1/2: its factor is zero
+    g = Multigraph(7, [Edge(i, (i + 1) % 4) for i in range(4)] + [Edge(u, v) for u, v in K4_ON_0456])
+    assert forest_poly_sp(g, dict(enumerate([F(-1, 2)] * 4 + [F(2)] * 6))) == 0
+    assert cores == []
+
+
+def test_forest_sp_zero_prefactor_over_guard(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # K8 (28 edges, over the enumeration guard) plus a pendant edge at w = -1
+    k8 = [Edge(u, v) for u in range(8) for v in range(u + 1, 8)]
+    g = Multigraph(9, k8 + [Edge(0, 8)])
+    assert g.m > forest.ENUMERATION_GUARD
+    assert forest_poly_sp(g, {i: F(-1) if i == len(k8) else F(1) for i in range(g.m)}) == 0
+    assert cores == []
+
+
+def test_apex_rhs_guard():
+    g = Multigraph(8, [Edge(u, v) for u in range(8) for v in range(u + 1, 8)])
+    with pytest.raises(BudgetError, match="enumeration guard"):
+        apex_rhs(g, F(1), [F(0)] * 8)
 
 
 def test_stretched_edge_weight():

@@ -1,20 +1,16 @@
-"""Backend agreement: the compiled kernels must match the pure lane exactly."""
+"""Enumeration kernels: the bitsliced subset scans against plain loops over
+every subset, plus known values and edge cases."""
 
 import random
 
 import pytest
 
 from polycount import kernels
-from polycount.kernels import _pure
 
-try:
-    from polycount.kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
-
-BACKENDS = [_pure] if _fast is None else [_pure, _fast]
+# n above 16 runs the loop over the items above the 16-bit truth tables; the
+# constraint loop below costs about 10 us per assignment, so it stops at 18
+SIZES = list(range(0, 21))
+CSP_SIZES = list(range(0, 19))
 
 
 def random_adj(rng, n, p=0.4):
@@ -27,102 +23,79 @@ def random_adj(rng, n, p=0.4):
     return adj
 
 
+def edge_masks(adj):
+    return {(1 << u) | (1 << v) for u in range(len(adj)) for v in range(len(adj)) if (adj[u] >> v) & 1}
+
+
 def test_active_backend_exposed():
-    assert kernels.BACKEND in ("pure", "fast")
+    assert kernels.BACKEND == "pure"
 
 
-@needs_fast
-def test_vertex_cover_agreement():
-    rng = random.Random(1)
-    for _ in range(10):
-        n = rng.randint(0, 12)
-        adj = random_adj(rng, n)
-        req = rng.getrandbits(n) if n else 0
-        forb = rng.getrandbits(n) & ~req if n else 0
-        assert _pure.count_vertex_covers(n, adj, req, forb) == _fast.count_vertex_covers(
-            n, adj, req, forb
-        )
+@pytest.mark.parametrize("n", SIZES)
+def test_vertex_cover_scan_matches_loop(n):
+    rng = random.Random(n)
+    adj = random_adj(rng, n, rng.random())
+    required = rng.getrandbits(n) & rng.getrandbits(n)
+    forbidden = rng.getrandbits(n) & rng.getrandbits(n) & ~required
+    edges = edge_masks(adj)
+    expected = sum(
+        s & required == required and not s & forbidden and all(s & e for e in edges) for s in range(1 << n)
+    )
+    assert kernels.count_vertex_covers(n, adj, required, forbidden) == expected
 
 
-@needs_fast
-def test_independent_set_agreement():
-    rng = random.Random(2)
-    for _ in range(10):
-        n = rng.randint(0, 14)
-        adj = random_adj(rng, n)
-        assert _pure.count_independent_sets(n, adj) == _fast.count_independent_sets(n, adj)
+@pytest.mark.parametrize("n", SIZES)
+def test_independent_set_scan_matches_loop(n):
+    rng = random.Random(100 + n)
+    adj = random_adj(rng, n, rng.random())
+    edges = edge_masks(adj)
+    expected = sum(all(s & e != e for e in edges) for s in range(1 << n))
+    assert kernels.count_independent_sets(n, adj) == expected
 
 
-@needs_fast
-def test_perfect_matching_agreement():
-    rng = random.Random(3)
-    for _ in range(10):
-        n = rng.randint(0, 10)
-        adj = random_adj(rng, n, 0.6)
-        assert _pure.count_perfect_matchings(n, adj) == _fast.count_perfect_matchings(n, adj)
+@pytest.mark.parametrize("n", CSP_SIZES)
+def test_csp_scan_matches_loop(n):
+    rng = random.Random(200 + n)
+    relmasks, scopes = [], []
+    for arity in range(1, min(n, 8) + 1):
+        # dense relations, so that most assignments stay alive to the last one
+        relmasks.append(rng.getrandbits(1 << arity) | rng.getrandbits(1 << arity))
+        scopes.append([rng.randrange(n) for _ in range(arity)])
+
+    def index(s, scope):
+        return sum(((s >> v) & 1) << (len(scope) - 1 - i) for i, v in enumerate(scope))
+
+    expected = sum(
+        all((r >> index(s, scope)) & 1 for r, scope in zip(relmasks, scopes)) for s in range(1 << n)
+    )
+    assert kernels.count_csp_models(n, relmasks, scopes) == expected
 
 
-@needs_fast
-def test_forest_profile_agreement():
-    rng = random.Random(4)
-    for _ in range(10):
-        n = rng.randint(2, 6)
-        m = rng.randint(0, 10)
-        eu, ev, labels = [], [], []
-        n_labels = rng.randint(1, 3)
-        for _ in range(m):
-            u, v = rng.sample(range(n), 2)
-            eu.append(u)
-            ev.append(v)
-            labels.append(rng.randrange(n_labels))
-        caps = [max(1, labels.count(l)) for l in range(n_labels)]
-        assert _pure.forest_label_profile(n, eu, ev, labels, n_labels, caps) == (
-            _fast.forest_label_profile(n, eu, ev, labels, n_labels, caps)
-        )
-
-
-@needs_fast
-def test_csp_agreement():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(1, 12)
-        cons = []
-        for _ in range(rng.randint(0, 5)):
-            k = rng.randint(1, min(3, n))
-            cons.append((rng.randrange(1 << (1 << k)), k, rng.sample(range(n), k)))
-        relmasks = [c[0] for c in cons]
-        arities = [c[1] for c in cons]
-        scopes = [c[2] for c in cons]
-        assert _pure.count_csp_models(n, relmasks, arities, scopes) == _fast.count_csp_models(
-            n, relmasks, arities, scopes
-        )
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
-def test_edge_cases(impl):
-    assert impl.count_vertex_covers(0, []) == 1
-    assert impl.count_independent_sets(0, []) == 1
-    assert impl.count_perfect_matchings(0, []) == 1
-    assert impl.count_perfect_matchings(3, [0, 0, 0]) == 0
-    assert impl.forest_label_profile(3, [], [], [], 1, [0]) == {(0,): 1}
-    assert impl.count_csp_models(2, [], [], []) == 4
+def test_edge_cases():
+    assert kernels.count_vertex_covers(0, []) == 1
+    assert kernels.count_independent_sets(0, []) == 1
+    assert kernels.count_perfect_matchings(0, []) == 1
+    assert kernels.count_perfect_matchings(3, [0, 0, 0]) == 0
+    assert kernels.forest_label_profile(3, [], [], [], 1, [0]) == {(0,): 1}
+    assert kernels.count_csp_models(2, [], []) == 4
     # a vertex pair with no edges: every subset is everything
-    assert impl.count_vertex_covers(2, [0, 0]) == 4
-    assert impl.count_independent_sets(2, [0, 0]) == 4
+    assert kernels.count_vertex_covers(2, [0, 0]) == 4
+    assert kernels.count_independent_sets(2, [0, 0]) == 4
+    # a vertex both required and forbidden, or required past n, admits nothing
+    assert kernels.count_vertex_covers(2, [0, 0], required=0b01, forbidden=0b01) == 0
+    assert kernels.count_vertex_covers(2, [0, 0], required=0b100) == 0
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
-def test_size_guard(impl):
+def test_size_guard():
     with pytest.raises(ValueError):
-        impl.count_independent_sets(31, [0] * 31)
+        kernels.count_independent_sets(31, [0] * 31)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND)
-def test_known_counts(impl):
+def test_known_counts():
     # triangle: adj masks
     adj = [0b110, 0b101, 0b011]
-    assert impl.count_independent_sets(3, adj) == 4
-    assert impl.count_vertex_covers(3, adj) == 4
-    assert impl.count_perfect_matchings(3, adj) == 0
-    profile = impl.forest_label_profile(3, [0, 1, 0], [1, 2, 2], [0, 0, 0], 1, [3])
+    assert kernels.count_independent_sets(3, adj) == 4
+    assert kernels.count_vertex_covers(3, adj) == 4
+    assert kernels.count_perfect_matchings(3, adj) == 0
+    profile = kernels.forest_label_profile(3, [0, 1, 0], [1, 2, 2], [0, 0, 0], 1, [3])
     assert profile == {(0,): 1, (1,): 3, (2,): 3}
