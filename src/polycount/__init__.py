@@ -33,7 +33,6 @@ from .graphs import (
     BlockPartition,
     Edge,
     Multigraph,
-    WeightAssignment,
     add_apex,
     format_graph,
     gadget_size,

@@ -8,14 +8,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import kernels
 from .errors import BudgetError
-from .graphs import Edge, Multigraph, WeightAssignment
+from .graphs import Edge, Multigraph
 from .polynomials import Rat, SparsePolynomial
 
 ENUMERATION_GUARD = 22  # edges counted with multiplicity; ~4M subsets
+
+Weight = Union[Rat, str]  # a rational, or a symbol name
+# One weight per edge record: a list, or a dict keyed 0..m-1.
+Weights = Union[Sequence[Weight], Mapping[int, Weight]]
 
 
 # ---------------------------------------------------------------------------
@@ -41,88 +45,83 @@ def _expanded_edges(g: Multigraph) -> list[tuple[int, int, int]]:
 
 
 def _profile_by_class(
-    g: Multigraph, class_of_record: Sequence[object], guard: int
-) -> tuple[list[object], dict[tuple[int, ...], int]]:
-    """Forest counts bucketed by how many edges of each class are used.
+    g: Multigraph, weights: Weights, guard: int
+) -> tuple[list[Weight], dict[tuple[int, ...], int]]:
+    """Forest counts bucketed by how many edges of each weight class are used.
 
-    class_of_record assigns an arbitrary hashable class key per edge record;
-    copies of a record share its class.  Returns the class keys in first-
-    appearance order and the usage profile.
+    weights gives each edge record a rational or a symbol name and must cover
+    exactly the records 0..m-1; records with equal weights, and the copies of
+    one record, share a class.  Returns the classes in first-appearance order
+    and the usage profile.
     """
+    if not isinstance(weights, Mapping):
+        weights = dict(enumerate(weights))
+    missing = [i for i in range(g.m) if i not in weights]
+    if missing:
+        raise ValueError(f"weights miss edge records {missing}")
+    extra = [i for i in weights if not 0 <= i < g.m]
+    if extra:
+        raise ValueError(f"weights name unknown edge records {extra}")
     copies = _expanded_edges(g)
     if len(copies) > guard:
         raise BudgetError(
             f"{len(copies)} edges exceeds the enumeration guard of {guard}; "
             "use the series-parallel evaluator for large graphs"
         )
-    class_order: list[object] = []
-    class_index: dict[object, int] = {}
+    class_order: list[Weight] = []
+    class_index: dict[Weight, int] = {}
     labels = []
     for _, _, rec in copies:
-        key = class_of_record[rec]
+        w = weights[rec]
+        key = w if isinstance(w, str) else Fraction(w)
         if key not in class_index:
             class_index[key] = len(class_order)
             class_order.append(key)
         labels.append(class_index[key])
-    caps = [0] * len(class_order)
-    for l in labels:
-        caps[l] += 1
     profile = kernels.forest_label_profile(
-        g.n,
-        [u for u, _, _ in copies],
-        [v for _, v, _ in copies],
-        labels,
-        len(class_order),
-        caps,
+        g.n, [u for u, _, _ in copies], [v for _, v, _ in copies], labels
     )
     return class_order, profile
 
 
 def forest_poly_bruteforce(
-    g: Multigraph, w: Optional[WeightAssignment] = None, guard: int = ENUMERATION_GUARD
+    g: Multigraph, weights: Optional[Weights] = None, guard: int = ENUMERATION_GUARD
 ) -> ForestPolyResult:
     """Sum over all acyclic edge subsets of the product of edge weights.
 
-    Symbolic weights become polynomial variables (in first-appearance order);
-    rational weights fold into the coefficients.  Parallel copies are
-    enumerated individually.
+    weights holds one rational or symbol name per edge record (a list, or a
+    dict keyed 0..m-1) and defaults to the records' labels.  Symbols become
+    polynomial variables (in first-appearance order); rational weights fold
+    into the coefficients.  Parallel copies are enumerated individually.
     """
-    if w is None:
-        w = WeightAssignment.from_labels(g)
-    class_of = [w[i] if isinstance(w[i], str) else ("val", Fraction(w[i])) for i in range(g.m)]
-    class_order, profile = _profile_by_class(g, class_of, guard)
+    if weights is None:
+        weights = [e.label for e in g.edges]
+    class_order, profile = _profile_by_class(g, weights, guard)
     sym_positions = [i for i, key in enumerate(class_order) if isinstance(key, str)]
     val_positions = [i for i, key in enumerate(class_order) if not isinstance(key, str)]
-    variables = [class_order[i] for i in sym_positions]
     terms: dict[tuple[int, ...], Rat] = {}
-    forest_count = 0
-    max_size = 0
     for exps, cnt in profile.items():
-        forest_count += cnt
-        max_size = max(max_size, sum(exps))
         coeff = Fraction(cnt)
         for i in val_positions:
             if exps[i]:
-                coeff *= class_order[i][1] ** exps[i]
+                coeff *= class_order[i] ** exps[i]
         key = tuple(exps[i] for i in sym_positions)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    poly = SparsePolynomial(variables, terms)
-    return ForestPolyResult(poly, forest_count, max_size)
+        terms[key] = terms.get(key, 0) + coeff
+    poly = SparsePolynomial([class_order[i] for i in sym_positions], terms)
+    max_size = max(map(sum, profile), default=0)
+    return ForestPolyResult(poly, sum(profile.values()), max_size)
 
 
-def forest_value_bruteforce(g: Multigraph, weights: Mapping[int, Rat]) -> Rat:
-    """Exact weighted forest sum by enumeration; used as a ground-truth oracle."""
-    class_of = [("val", Fraction(weights[i])) for i in range(g.m)]
-    class_order, profile = _profile_by_class(g, class_of, ENUMERATION_GUARD)
-    values = [key[1] for key in class_order]
-    total = Fraction(0)
-    for exps, cnt in profile.items():
-        term = Fraction(cnt)
-        for v, e in zip(values, exps):
-            if e:
-                term *= v**e
-        total += term
-    return total
+def forest_value_bruteforce(g: Multigraph, weights: Weights) -> Rat:
+    """Exact weighted forest sum by enumeration; used as a ground-truth oracle.
+
+    The all-rational case of forest_poly_bruteforce: a symbol among the
+    weights raises ValueError.
+    """
+    poly = forest_poly_bruteforce(g, weights).poly
+    if poly.variables:
+        raise ValueError(f"weights must be rational, got symbols {list(poly.variables)}")
+    return poly.coefficient(())
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ def _chain_factor(ws: Sequence[Rat]) -> Rat:
     return prod(1 + w for w in ws) - prod(ws)
 
 
-def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -> Rat:
+def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     """Evaluate the weighted forest sum by graph reduction plus a small core.
 
     One worklist pass over adjacency maps (Haggard, Pearce and Royle,
@@ -168,8 +167,6 @@ def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -
     by zero; uniform odd-length chains, the only kind the reduction pipelines
     produce, never hit this.
     """
-    if weights is None:
-        weights = WeightAssignment.from_labels(g).rational_values()
     adj: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
 
     def join(u: int, v: int, w: Fraction) -> None:
@@ -211,7 +208,7 @@ def forest_poly_sp(g: Multigraph, weights: Optional[Mapping[int, Rat]] = None) -
     if not core_edges:
         return prefactor
     core = Multigraph(g.n, [Edge(u, v, 1, "w") for u, v, _ in core_edges])
-    return prefactor * forest_value_bruteforce(core, {i: w for i, (_, _, w) in enumerate(core_edges)})
+    return prefactor * forest_value_bruteforce(core, [w for _, _, w in core_edges])
 
 
 def _chain_through(adj: list[dict[int, Fraction]], v: int) -> list[int]:
@@ -246,7 +243,7 @@ def tutte_y1(g: Multigraph, x: Rat) -> Rat:
         raise ValueError("x = 1 is excluded: the forest-sum bridge divides by x - 1")
     g = g.as_simple()
     t = 1 / (x - 1)
-    value = forest_poly_sp(g, {i: t for i in range(g.m)})
+    value = forest_poly_sp(g, [t] * g.m)
     return (x - 1) ** (g.n - g.component_count()) * value
 
 
@@ -335,7 +332,7 @@ def sp_simple_oracle(t: Rat) -> SimpleOracle:
     t = Fraction(t)
 
     def oracle(h: Multigraph) -> Rat:
-        return forest_poly_sp(h, {i: t for i in range(h.m)})
+        return forest_poly_sp(h, [t] * h.m)
 
     return oracle
 
@@ -345,6 +342,6 @@ def bruteforce_simple_oracle(t: Rat) -> SimpleOracle:
     t = Fraction(t)
 
     def oracle(h: Multigraph) -> Rat:
-        return forest_value_bruteforce(h, {i: t for i in range(h.m)})
+        return forest_value_bruteforce(h, [t] * h.m)
 
     return oracle

@@ -11,12 +11,9 @@ after construction and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .errors import GraphParseError
-
-Weight = Union[Fraction, str]
 
 
 @dataclass(frozen=True)
@@ -24,9 +21,9 @@ class Edge:
     """One edge record: endpoints, multiplicity, and a weight tag.
 
     Parallel edges are stored as multiplicity on a single record, not as
-    repeated records.  The tag names a weight class; the numeric assignment
-    lives in a separate WeightAssignment so the same graph can be re-weighted
-    without rebuilding.
+    repeated records.  The tag names a weight class; numeric weights are
+    passed to the forest evaluators separately, one per record, so the same
+    graph can be re-weighted without rebuilding.
     """
 
     u: int
@@ -159,48 +156,6 @@ class Multigraph:
         return f"Multigraph(n={self.n}, m={self.m}, total_mult={self.total_mult})"
 
 
-class WeightAssignment:
-    """Total map from edge index to an exact rational or a symbol name."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, graph: Multigraph, values: Mapping[int, Weight]):
-        missing = [i for i in range(graph.m) if i not in values]
-        if missing:
-            raise ValueError(f"weight assignment misses edges {missing}")
-        extra = [i for i in values if not 0 <= i < graph.m]
-        if extra:
-            raise ValueError(f"weight assignment names unknown edges {extra}")
-        self.values = {i: values[i] for i in range(graph.m)}
-
-    @classmethod
-    def from_labels(cls, graph: Multigraph, mapping: Optional[Mapping[str, Weight]] = None) -> "WeightAssignment":
-        """Each edge gets its label's value; unmapped labels stay symbolic."""
-        vals: dict[int, Weight] = {}
-        for i, e in enumerate(graph.edges):
-            if mapping is not None and e.label in mapping:
-                vals[i] = mapping[e.label]
-            else:
-                vals[i] = e.label
-        return cls(graph, vals)
-
-    @classmethod
-    def uniform(cls, graph: Multigraph, value: Weight) -> "WeightAssignment":
-        return cls(graph, {i: value for i in range(graph.m)})
-
-    def __getitem__(self, edge_index: int) -> Weight:
-        return self.values[edge_index]
-
-    def rational_values(self) -> dict[int, Fraction]:
-        """All values as Fractions; raises if any entry is still symbolic."""
-        out = {}
-        for i, v in self.values.items():
-            if isinstance(v, str):
-                raise ValueError(f"edge {i} carries symbolic weight {v!r}, not a rational")
-            out[i] = Fraction(v)
-        return out
-
-
 @dataclass(frozen=True)
 class BlockPartition:
     """Disjoint edge-index blocks covering all edges, each of size <= d."""
@@ -308,7 +263,7 @@ def format_graph(g: Multigraph) -> str:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def add_apex(g: Multigraph, collapse_z: bool = False) -> tuple[Multigraph, WeightAssignment]:
+def add_apex(g: Multigraph, collapse_z: bool = False) -> Multigraph:
     """Join a new vertex (index n) to every original vertex.
 
     Original edges keep the tag "w"; the new edge to vertex v is tagged
@@ -320,8 +275,7 @@ def add_apex(g: Multigraph, collapse_z: bool = False) -> tuple[Multigraph, Weigh
     edges = [Edge(e.u, e.v, 1, "w") for e in g.edges]
     for v in range(g.n):
         edges.append(Edge(v, a, 1, "z" if collapse_z else f"z{v}"))
-    out = Multigraph(g.n + 1, edges, simple=True)
-    return out, WeightAssignment.from_labels(out)
+    return Multigraph(g.n + 1, edges, simple=True)
 
 
 def stretch(g: Multigraph, k: int) -> Multigraph:

@@ -124,22 +124,25 @@ def forest_label_profile(
     edges_u: Sequence[int],
     edges_v: Sequence[int],
     labels: Sequence[int],
-    n_labels: int,
-    caps: Sequence[int],
 ) -> dict[tuple[int, ...], int]:
     """Count acyclic edge subsets, bucketed by per-label usage counts.
 
     Enumerates subsets of the m given edges (parallel copies must already be
     expanded into separate entries) by a prefix recursion that prunes as soon
     as an edge would close a cycle; since every superset of a cyclic set is
-    cyclic, exactly the acyclic subsets survive.  Returns a map from label
-    exponent vector to the number of forests with that usage.
+    cyclic, exactly the acyclic subsets survive.  Labels are 0..max(labels);
+    returns a map from label exponent vector (one entry per label) to the
+    number of forests with that usage.
     """
     m = len(edges_u)
     if not (len(edges_v) == len(labels) == m):
         raise ValueError("edge arrays must have equal length")
-    if any(not 0 <= l < n_labels for l in labels):
-        raise ValueError("label index out of range")
+    if any(l < 0 for l in labels):
+        raise ValueError("labels must be non-negative")
+    n_labels = max(labels, default=-1) + 1
+    caps = [0] * n_labels
+    for l in labels:
+        caps[l] += 1
     strides = [0] * n_labels
     size = 1
     for l in range(n_labels):

@@ -111,6 +111,9 @@ def vc_bruteforce_bucketed(
 ) -> int:
     """Vertex covers constrained to contain `inside` and avoid `outside`."""
     budget = budget or DEFAULT_BUDGET
+    strays = [v for v in (*inside, *outside) if not 0 <= v < g.n]
+    if strays:
+        raise ValueError(f"vertices {strays} are outside 0..{g.n - 1}")
     if g.n > budget.subset_vertices:
         raise BudgetError(f"{g.n} vertices exceeds the subset budget of {budget.subset_vertices}")
     required = 0

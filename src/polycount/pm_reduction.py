@@ -219,7 +219,7 @@ def count_pm(
     transcript = OracleTranscript()
     if g.n % 2 == 1:
         return PmRunResult(0, True, 0, None, transcript)
-    gprime, _ = add_apex(g, collapse_z=True)
+    gprime = add_apex(g, collapse_z=True)
     oracle = stretch_backed_oracle(gprime, params, simple_oracle)
     bivariate = block_interpolation(gprime, params, oracle, transcript, query_budget)
     univariate = bivariate.substitute("z", Fraction(-1))

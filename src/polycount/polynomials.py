@@ -9,7 +9,6 @@ this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -121,25 +120,6 @@ class SparsePolynomial:
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.variables}, {len(self.terms)} terms)"
-
-    def to_json(self) -> str:
-        data = {
-            "variables": list(self.variables),
-            "terms": [
-                [list(exps), str(c.numerator), str(c.denominator)]
-                for exps, c in sorted(self.terms.items())
-            ],
-        }
-        return json.dumps(data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SparsePolynomial":
-        data = json.loads(text)
-        terms = {
-            tuple(exps): Fraction(int(num), int(den))
-            for exps, num, den in data["terms"]
-        }
-        return cls(data["variables"], terms)
 
 
 # ---------------------------------------------------------------------------

@@ -131,12 +131,9 @@ MULTIGRAPH_ZOO = [
 ]
 
 
-def _apex_weights(g: Multigraph, wval: Fraction, zvals: list[Fraction]) -> dict[int, Fraction]:
+def _apex_weights(g: Multigraph, wval: Fraction, zvals: list[Fraction]) -> list[Fraction]:
     """Weights for add_apex(g): originals first, then apex edges to 0..n-1."""
-    weights = {i: Fraction(wval) for i in range(g.m)}
-    for v in range(g.n):
-        weights[g.m + v] = Fraction(zvals[v])
-    return weights
+    return [Fraction(wval)] * g.m + [Fraction(z) for z in zvals]
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +158,7 @@ def suite_apex(seed: int) -> SuiteResult:
         g = random_simple_graph(rng)
         cases.append((g, [(Fraction(1), [Fraction(-1)] * g.n), (Fraction(2), [Fraction(0)] * g.n)]))
     for g, settings in cases:
-        gp, _ = add_apex(g)
+        gp = add_apex(g)
         for wval, zvals in settings:
             lhs = forest_value_bruteforce(gp, _apex_weights(g, wval, zvals))
             rhs = apex_rhs(g, wval, zvals)
@@ -188,10 +185,10 @@ def suite_stretch(seed: int) -> SuiteResult:
                 if denom == 0:
                     continue
                 if stretched.total_mult <= 20:
-                    lhs = forest_value_bruteforce(stretched, {i: w for i in range(stretched.m)})
+                    lhs = forest_value_bruteforce(stretched, [w] * stretched.m)
                 else:
-                    lhs = forest_poly_sp(stretched, {i: w for i in range(stretched.m)})
-                inner = forest_value_bruteforce(g, {i: stretched_edge_weight(w, k) for i in range(g.m)})
+                    lhs = forest_poly_sp(stretched, [w] * stretched.m)
+                inner = forest_value_bruteforce(g, [stretched_edge_weight(w, k)] * g.m)
                 rhs = denom**m * inner
                 res.check(
                     lhs == rhs,
@@ -203,7 +200,7 @@ def suite_stretch(seed: int) -> SuiteResult:
     cases = [(g, w) for g in graphs for w in (Fraction(1), Fraction(-1, 2), Fraction(2, 3))]
     cases += [(stretch(g, 2), Fraction(-1, 2)) for g in graphs]
     for g, w in cases:
-        weights = {i: w for i in range(g.m)}
+        weights = [w] * g.m
         res.check(
             forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights),
             f"series-parallel evaluator disagrees with enumeration on "

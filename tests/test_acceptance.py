@@ -98,7 +98,7 @@ def test_criterion_2_apex_identity():
     checked = 0
     for _ in range(55):
         g = random_simple_graph(rng, 2, 6, 8)
-        gp, _ = add_apex(g)
+        gp = add_apex(g)
         for _ in range(3):
             wval = rng.choice([v for v in RATIONAL_POOL if v != 0])
             zvals = [rng.choice(RATIONAL_POOL) for _ in range(g.n)]
@@ -113,7 +113,7 @@ def test_criterion_3_pm_extraction_all_connected_small():
     crit = Criterion(3, "matching count extraction with sign correction", 120)
     for n in (2, 4, 6):
         for g in _atlas_connected(n):
-            gp, _ = add_apex(g, collapse_z=True)
+            gp = add_apex(g, collapse_z=True)
             poly = forest_poly_bruteforce(gp).poly.substitute("z", F(-1))
             count, odd = pm_coefficient_extract(poly, n)
             assert not odd
@@ -148,7 +148,7 @@ def test_criterion_5_block_interpolation():
     crit = Criterion(5, "block interpolation recovers the bivariate polynomial", 120)
     for name in ("k2", "p3", "k3"):
         g = named_graph(name)
-        gp, _ = add_apex(g, collapse_z=True)
+        gp = add_apex(g, collapse_z=True)
         truth = forest_poly_bruteforce(gp).poly
         for C in (2, gp.m):
             params = PmReductionParams(C=C, x=F(2))

@@ -1,0 +1,41 @@
+"""The benchmark's span hooks (pipebench/spans.py) name polycount functions
+by module and attribute; a renamed function would otherwise break only the
+traced benchmark run."""
+
+import importlib
+import importlib.util
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from polycount import named_graph
+
+SPANS = Path(__file__).resolve().parent.parent / "pipebench" / "spans.py"
+
+
+def _load_spans(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave pipebench/ untouched
+    spec = importlib.util.spec_from_file_location("pipebench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    modules = {owner.partition(".")[0] for owner, *_ in spans.HOOKS}
+    return spans, {name: importlib.import_module(f"polycount.{name}") for name in modules}
+
+
+def test_every_hook_resolves_to_a_callable(monkeypatch):
+    spans, modules = _load_spans(monkeypatch)
+    for owner_name, attr, span_name, _ in spans.HOOKS:
+        owner = spans._resolve(modules, owner_name)
+        assert callable(getattr(owner, attr, None)), f"{span_name}: polycount.{owner_name}.{attr}"
+
+
+def test_hooks_see_the_forest_core(monkeypatch):
+    spans, modules = _load_spans(monkeypatch)
+    tracer = spans.Tracer()
+    with tracer.installed(modules):
+        # no reduction applies to K4, so the whole graph is the core
+        modules["forest"].forest_poly_sp(named_graph("k4"), [Fraction(1)] * 6)
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["forest.sp_calls"] == metrics["forest.core_calls"] == 1
+    assert metrics["forest.core_edges_max"] == 6
+    assert metrics["kernels.forests_enumerated"] == 38

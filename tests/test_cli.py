@@ -165,6 +165,18 @@ def test_csp_classify_and_count(capsys, tmp_path):
     assert code == 0 and "answer: 3" in out
 
 
+def test_csp_count_cross_check_budget(capsys, tmp_path):
+    parity3 = {"arity": 3, "tuples": ["000", "110", "101", "011"]}
+    for n, checked in ((22, True), (30, False)):
+        chain = {"relations": [parity3], "n": n, "constraints": [[0, [i, i + 1, i + 2]] for i in range(n - 2)]}
+        path = tmp_path / f"parity{n}.json"
+        path.write_text(json.dumps(chain))
+        code, out, _ = run(capsys, "csp", "count", "--input", str(path))
+        assert code == 0 and "answer: 4" in out
+        assert ("verdict: AGREE" in out) == checked
+        assert ("note: oracle answer skipped (budget)" in out) == (not checked)
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify", "gadget", "--seed", "1")
     assert code == 0

@@ -10,7 +10,6 @@ from polycount import (
     Edge,
     Multigraph,
     SparsePolynomial,
-    WeightAssignment,
     add_apex,
     apex_rhs,
     forest_poly_bruteforce,
@@ -27,6 +26,7 @@ from polycount.verify import (
     MULTIGRAPH_ZOO,
     RATIONAL_POOL,
     _apex_weights,
+    random_multigraph,
     random_simple_graph,
 )
 
@@ -34,7 +34,7 @@ F = Fraction
 
 
 def test_forest_poly_k3():
-    result = forest_poly_bruteforce(named_graph("k3"), WeightAssignment.uniform(named_graph("k3"), "x"))
+    result = forest_poly_bruteforce(named_graph("k3"), ["x"] * 3)
     assert result.poly == SparsePolynomial(("x",), {(0,): F(1), (1,): F(3), (2,): F(3)})
     assert result.forest_count == 7
     assert result.max_forest_size == 2
@@ -54,7 +54,7 @@ def test_forest_poly_constant_term_and_degree_bound():
     rng = random.Random(2)
     for _ in range(20):
         g = random_simple_graph(rng)
-        res = forest_poly_bruteforce(g, WeightAssignment.uniform(g, "x"))
+        res = forest_poly_bruteforce(g, ["x"] * g.m)
         assert res.poly.coefficient((0,) * len(res.poly.variables)) == 1
         assert res.max_forest_size <= g.n - g.component_count()
 
@@ -63,6 +63,36 @@ def test_forest_poly_guard():
     g = Multigraph(2, [Edge(0, 1, 23)])
     with pytest.raises(BudgetError):
         forest_poly_bruteforce(g)
+
+
+def test_forest_weights_totality():
+    g = named_graph("k3")
+    for weights in ({0: F(1)}, [F(1)] * 2, [F(1)] * 4, {i: F(1) for i in range(4)}):
+        with pytest.raises(ValueError, match="edge records"):
+            forest_poly_bruteforce(g, weights)
+        with pytest.raises(ValueError, match="edge records"):
+            forest_value_bruteforce(g, weights)
+    assert forest_value_bruteforce(g, {i: F(2) for i in range(3)}) == 1 + 3 * 2 + 3 * 4
+    assert forest_value_bruteforce(g, [F(2)] * 3) == 1 + 3 * 2 + 3 * 4
+    with pytest.raises(ValueError, match="rational"):
+        forest_value_bruteforce(g, [e.label for e in g.edges])
+    with pytest.raises(ValueError):
+        forest_poly_sp(g, [e.label for e in g.edges])
+
+
+def test_forest_poly_mixed_weights_fold():
+    rng = random.Random(9)
+    mixed = 0
+    for _ in range(60):
+        g = random_multigraph(rng, 10)
+        weights = [rng.choice(["a", "b", rng.choice(RATIONAL_POOL)]) for _ in range(g.m)]
+        mixed += len({isinstance(w, str) for w in weights}) == 2
+        poly = forest_poly_bruteforce(g, weights).poly
+        for _ in range(3):
+            binding = {"a": rng.choice(RATIONAL_POOL), "b": rng.choice(RATIONAL_POOL)}
+            bound = [binding[w] if isinstance(w, str) else w for w in weights]
+            assert poly.evaluate(binding) == forest_value_bruteforce(g, bound) == forest_poly_sp(g, bound)
+    assert mixed >= 20
 
 
 def test_forest_sp_two_path():
@@ -261,13 +291,13 @@ def test_apex_identity_random():
         g = random_simple_graph(rng)
         wval = rng.choice([v for v in RATIONAL_POOL if v != 0])
         zvals = [rng.choice(RATIONAL_POOL) for _ in range(g.n)]
-        gp, _ = add_apex(g)
+        gp = add_apex(g)
         lhs = forest_value_bruteforce(gp, _apex_weights(g, wval, zvals))
         assert lhs == apex_rhs(g, wval, zvals)
 
 
 def _apex_poly_at_z_minus_one(g):
-    gp, _ = add_apex(g, collapse_z=True)
+    gp = add_apex(g, collapse_z=True)
     poly = forest_poly_bruteforce(gp).poly
     return poly.substitute("z", F(-1))
 

@@ -5,7 +5,6 @@ from polycount import (
     Edge,
     GraphParseError,
     Multigraph,
-    WeightAssignment,
     add_apex,
     format_graph,
     gadget_size,
@@ -15,7 +14,6 @@ from polycount import (
     stretch,
     substitute_gadget,
 )
-from fractions import Fraction
 
 
 def test_parse_k2():
@@ -77,15 +75,14 @@ def test_multigraph_validation():
 
 def test_add_apex_k2():
     g = named_graph("k2")
-    gp, wa = add_apex(g)
+    gp = add_apex(g)
     assert gp.n == 3 and gp.m == 3
     assert gp.edges[0].label == "w"
     assert {gp.edges[1].label, gp.edges[2].label} == {"z0", "z1"}
-    assert wa[1] == "z0"
 
 
 def test_add_apex_k3_wheel():
-    gp, _ = add_apex(named_graph("k3"))
+    gp = add_apex(named_graph("k3"))
     assert gp.n == 4 and gp.m == 6
     assert sum(1 for e in gp.edges if e.label == "w") == 3
     apex_edges = [e for e in gp.edges if e.label.startswith("z")]
@@ -94,7 +91,7 @@ def test_add_apex_k3_wheel():
 
 def test_add_apex_star_from_edgeless():
     g = Multigraph(3, [], simple=True)
-    gp, _ = add_apex(g, collapse_z=True)
+    gp = add_apex(g, collapse_z=True)
     assert gp.n == 4 and gp.m == 3
     assert all(e.label == "z" for e in gp.edges)
 
@@ -193,12 +190,3 @@ def test_block_partition_validation():
     with pytest.raises(ValueError):
         BlockPartition(((0, 1, 2),), 2)  # too big
 
-
-def test_weight_assignment_totality():
-    g = named_graph("k3")
-    with pytest.raises(ValueError):
-        WeightAssignment(g, {0: Fraction(1)})
-    wa = WeightAssignment.from_labels(g, {"w": Fraction(2)})
-    assert wa.rational_values() == {0: 2, 1: 2, 2: 2}
-    with pytest.raises(ValueError):
-        WeightAssignment.from_labels(g).rational_values()

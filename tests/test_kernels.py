@@ -76,7 +76,7 @@ def test_edge_cases():
     assert kernels.count_independent_sets(0, []) == 1
     assert kernels.count_perfect_matchings(0, []) == 1
     assert kernels.count_perfect_matchings(3, [0, 0, 0]) == 0
-    assert kernels.forest_label_profile(3, [], [], [], 1, [0]) == {(0,): 1}
+    assert kernels.forest_label_profile(3, [], [], []) == {(): 1}
     assert kernels.count_csp_models(2, [], []) == 4
     # a vertex pair with no edges: every subset is everything
     assert kernels.count_vertex_covers(2, [0, 0]) == 4
@@ -97,5 +97,5 @@ def test_known_counts():
     assert kernels.count_independent_sets(3, adj) == 4
     assert kernels.count_vertex_covers(3, adj) == 4
     assert kernels.count_perfect_matchings(3, adj) == 0
-    profile = kernels.forest_label_profile(3, [0, 1, 0], [1, 2, 2], [0, 0, 0], 1, [3])
+    profile = kernels.forest_label_profile(3, [0, 1, 0], [1, 2, 2], [0, 0, 0])
     assert profile == {(0,): 1, (1,): 3, (2,): 3}

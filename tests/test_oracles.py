@@ -77,6 +77,17 @@ def test_bucketed_vc_partitions_total():
     assert split == total
 
 
+def test_bucketed_vc_rejects_stray_vertices(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(oracles.kernels, "count_vertex_covers", scan)
+    k2 = named_graph("k2")
+    for constraint in ({"inside": (5,)}, {"outside": (7,)}, {"inside": (-1,)}, {"outside": (-1,)}):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            vc_bruteforce_bucketed(k2, **constraint)
+
+
 def test_budgets_fail_loudly():
     big = Multigraph(26, [])
     with pytest.raises(BudgetError):

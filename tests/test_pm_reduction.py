@@ -66,7 +66,7 @@ def test_simulate_oracle_matches_bruteforce_on_stretched_graph():
 def test_block_interpolation_recovers_bivariate():
     for name in ("k2", "p3", "k3"):
         g = named_graph(name)
-        gp, _ = add_apex(g, collapse_z=True)
+        gp = add_apex(g, collapse_z=True)
         truth = forest_poly_bruteforce(gp).poly
         for C in (2, gp.m):
             params = PmReductionParams(C=C, x=F(2))
@@ -98,7 +98,7 @@ def test_oracle_independence():
     # two different correct simple-graph evaluators give identical polynomials
     for name, C in (("k2", 2), ("p3", 1)):
         g = named_graph(name)
-        gp, _ = add_apex(g, collapse_z=True)
+        gp = add_apex(g, collapse_z=True)
         params = PmReductionParams(C=C, x=F(2))
         via_sp = block_interpolation(gp, params, stretch_backed_oracle(gp, params))
         via_brute = block_interpolation(
@@ -160,7 +160,7 @@ def test_transcript_replay():
     g = named_graph("c4")
     params = PmReductionParams(C=2, x=F(2))
     result = count_pm(g, params)
-    gp, _ = add_apex(g, collapse_z=True)
+    gp = add_apex(g, collapse_z=True)
     oracle = stretch_backed_oracle(gp, params)
 
     def rerun(query):
@@ -185,7 +185,7 @@ def test_transcript_jsonl(tmp_path):
 
 
 def test_oracle_failure_attached_to_transcript():
-    gp, _ = add_apex(named_graph("k2"), collapse_z=True)
+    gp = add_apex(named_graph("k2"), collapse_z=True)
     params = PmReductionParams(C=1, x=F(2))
     transcript = OracleTranscript()
     calls = []
