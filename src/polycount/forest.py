@@ -7,15 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import kernels
 from .errors import BudgetError
-from .graphs import Edge, Multigraph
+from .graphs import Multigraph
 from .polynomials import Rat, SparsePolynomial
 
 ENUMERATION_GUARD = 22  # edges counted with multiplicity; ~4M subsets
+CORE_VERTEX_GUARD = 16  # vertices per component of the forest_poly_sp core, whose DP is O(3^n)
 
 Weight = Union[Rat, str]  # a rational, or a symbol name
 # One weight per edge record: a list, or a dict keyed 0..m-1.
@@ -44,16 +45,9 @@ def _expanded_edges(g: Multigraph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _profile_by_class(
-    g: Multigraph, weights: Weights, guard: int
-) -> tuple[list[Weight], dict[tuple[int, ...], int]]:
-    """Forest counts bucketed by how many edges of each weight class are used.
-
-    weights gives each edge record a rational or a symbol name and must cover
-    exactly the records 0..m-1; records with equal weights, and the copies of
-    one record, share a class.  Returns the classes in first-appearance order
-    and the usage profile.
-    """
+def _weight_list(g: Multigraph, weights: Weights) -> list[Weight]:
+    """The weights of records 0..m-1 in order; ValueError unless weights
+    covers exactly those records."""
     if not isinstance(weights, Mapping):
         weights = dict(enumerate(weights))
     missing = [i for i in range(g.m) if i not in weights]
@@ -62,6 +56,19 @@ def _profile_by_class(
     extra = [i for i in weights if not 0 <= i < g.m]
     if extra:
         raise ValueError(f"weights name unknown edge records {extra}")
+    return [weights[i] for i in range(g.m)]
+
+
+def _profile_by_class(
+    g: Multigraph, weights: Weights, guard: int
+) -> tuple[list[Weight], dict[tuple[int, ...], int]]:
+    """Forest counts bucketed by how many edges of each weight class are used.
+
+    weights gives each edge record a rational or a symbol name; records with
+    equal weights, and the copies of one record, share a class.  Returns the
+    classes in first-appearance order and the usage profile.
+    """
+    weights = _weight_list(g, weights)
     copies = _expanded_edges(g)
     if len(copies) > guard:
         raise BudgetError(
@@ -159,13 +166,16 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     degree-2 vertex, of weights w_1..w_k, collapses to a single edge of weight
     prod(w) / (prod(1+w) - prod(w)) with global prefactor prod(1+w) - prod(w)
     (the k-stretch identity read backwards; a cycle, or a chain closing on one
-    vertex, just contributes the prefactor).  Whatever remains is evaluated by
-    enumeration and must fit the enumeration guard, unless the prefactor is
-    already zero, which is then the answer.
+    vertex, just contributes the prefactor).  A chain between two vertices
+    whose prefactor vanishes cannot be divided by: every forest left uses the
+    whole chain, so it contributes prod(w) and its two ends merge.
 
-    A chain whose prefactor vanishes is left for the core rather than divided
-    by zero; uniform odd-length chains, the only kind the reduction pipelines
-    produce, never hit this.
+    Every vertex left then has degree 0 or at least 3.  That core goes to
+    vertex_core_value, the integer vertex-subset DP with Bareiss
+    determinants, whose connected components must each fit CORE_VERTEX_GUARD
+    vertices, unless the prefactor is already zero, which is then the
+    answer.  Enumeration (forest_value_bruteforce) is only the independent
+    check of this evaluator.
     """
     adj: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
 
@@ -176,8 +186,8 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
         elif v in adj[u]:
             del adj[u][v], adj[v][u]
 
-    for i, e in enumerate(g.edges):
-        join(e.u, e.v, e.mult * Fraction(weights[i]))
+    for e, w in zip(g.edges, _weight_list(g, weights)):
+        join(e.u, e.v, e.mult * Fraction(w))
     prefactor = Fraction(1)
     stack = [v for v in range(g.n) if len(adj[v]) <= 2]
     while stack:
@@ -194,21 +204,30 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
             left, right = path[0], path[-1]
             ws = [adj[a][b] for a, b in zip(path, path[1:])]
             factor = _chain_factor(ws)
-            if left != right and factor == 0:
-                continue
-            prefactor *= factor
             for a, b in zip(path, path[1:]):
                 del adj[a][b], adj[b][a]
-            if left != right:
-                join(left, right, prod(ws) / factor)
+            if left == right or factor:
+                prefactor *= factor
+                if left != right:
+                    join(left, right, prod(ws) / factor)
+            else:
+                # only forests that use the whole chain are left: its ends
+                # merge, and a bundle between them, now a loop, drops out
+                prefactor *= prod(ws)
+                adj[left].pop(right, None)
+                adj[right].pop(left, None)
+                for x, w in adj[right].items():
+                    del adj[x][right]
+                    join(left, x, w)
+                    stack.append(x)
+                adj[right].clear()
             stack += (left, right)
     if prefactor == 0:
         return prefactor
     core_edges = [(u, v, w) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
     if not core_edges:
         return prefactor
-    core = Multigraph(g.n, [Edge(u, v, 1, "w") for u, v, _ in core_edges])
-    return prefactor * forest_value_bruteforce(core, [w for _, _, w in core_edges])
+    return prefactor * vertex_core_value(core_edges)
 
 
 def _chain_through(adj: list[dict[int, Fraction]], v: int) -> list[int]:
@@ -225,6 +244,149 @@ def _chain_through(adj: list[dict[int, Fraction]], v: int) -> list[int]:
             return [v] + half
         halves.append(half)
     return halves[0][::-1] + [v] + halves[1]
+
+
+# ---------------------------------------------------------------------------
+# Vertex-subset core
+# ---------------------------------------------------------------------------
+
+
+def vertex_core_value(edges: Sequence[tuple[int, int, Fraction]]) -> Fraction:
+    """Forest sum of the simple graph with weighted edges (u, v, w), one per
+    vertex pair, by the vertex-subset DP of Bjoerklund, Husfeldt, Kaski and
+    Koivisto (Computing the Tutte polynomial in vertex-exponential time,
+    FOCS 2008).
+
+    A forest is a partition of the vertices into blocks with a spanning tree
+    on each, so F(G) sums, over vertex partitions, the product of the blocks'
+    weighted spanning-tree sums tau_w(G[B]).  With w_e = a_e / D over one
+    common denominator D, a block contributes T(B) = D * tau_a(G[B]) =
+    D^|B| * tau_w(G[B]), so every partition of the k vertices carries D^k and
+    F = f(V) / D^k, where f(S) sums T(S') f(S - S') over the connected
+    subsets S' of S that hold min S.  tau_a is an integer reduced-Laplacian
+    determinant, by Bareiss's fraction-free elimination (Math. Comp. 1968):
+    the work is int throughout, up to the one Fraction returned.  Only
+    vertices with an edge take part; F multiplies over connected components,
+    and a component above CORE_VERTEX_GUARD vertices raises BudgetError.
+    """
+    den = lcm(*(w.denominator for _, _, w in edges))
+    nbrs: dict[int, dict[int, int]] = {}
+    for u, v, w in edges:
+        nbrs.setdefault(u, {})[v] = nbrs.setdefault(v, {})[u] = w.numerator * (den // w.denominator)
+    comps = _components(nbrs)
+    largest = max(map(len, comps), default=0)
+    if largest > CORE_VERTEX_GUARD:
+        raise BudgetError(f"core component of {largest} vertices exceeds the vertex guard of {CORE_VERTEX_GUARD}")
+    numerator = 1
+    for comp in comps:
+        index = {v: i for i, v in enumerate(comp)}
+        numerator *= _partition_sum([{index[u]: a for u, a in nbrs[v].items()} for v in comp], den)
+    return Fraction(numerator, den ** len(nbrs))
+
+
+def _components(nbrs: Mapping[int, Mapping[int, int]]) -> list[list[int]]:
+    """Vertex lists of the connected components, each in increasing order."""
+    seen: set[int] = set()
+    comps = []
+    for root in sorted(nbrs):
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, todo = [], [root]
+        while todo:
+            v = todo.pop()
+            comp.append(v)
+            for u in nbrs[v]:
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _partition_sum(adj: list[dict[int, int]], den: int) -> int:
+    """f(V) of vertex_core_value on one connected graph with integer edge
+    weights adj[v][u], vertex sets as bitmasks."""
+    k = len(adj)
+    full = (1 << k) - 1
+    nbr_mask = [sum(1 << u for u in a) for a in adj]
+    # connected sets in increasing order: each set of two or more vertices
+    # has a vertex above its minimum whose removal leaves it connected, so it
+    # is grown from a smaller connected set by one neighbour above the minimum
+    connected = bytearray(1 << k)
+    reach = [0] * (1 << k)  # union of the members' neighbourhoods
+    tau = [0] * (1 << k)  # tau_a(G[S]) of the connected sets S
+    blocks: list[list[tuple[int, int]]] = [[] for _ in range(k)]  # (S', T(S')) by min S'
+    for s in range(1, 1 << k):
+        low = s & -s
+        first = low.bit_length() - 1
+        reach[s] = reach[s ^ low] | nbr_mask[first]
+        if s == low:
+            connected[s] = 1
+        elif not connected[s]:
+            continue
+        grow = reach[s] & ~s & ~(2 * low - 1)
+        while grow:
+            bit = grow & -grow
+            connected[s | bit] = 1
+            grow ^= bit
+        tau[s] = _tree_sum(adj, nbr_mask, tau, s)
+        if tau[s]:
+            blocks[first].append((s, den * tau[s]))
+    # f over the subsets of {i+1..k-1} is complete before the blocks with
+    # minimum i add into the sets with minimum i; of those only f(V) is needed
+    f = [0] * (1 << k)
+    f[0] = 1
+    for i in range(k - 1, 0, -1):
+        above = full & ~((2 << i) - 1)
+        for s, t in blocks[i]:
+            free = above & ~s
+            r = free
+            while True:
+                f[s | r] += t * f[r]
+                if not r:
+                    break
+                r = (r - 1) & free
+    return sum(t * f[full ^ s] for s, t in blocks[0])
+
+
+def _tree_sum(adj: list[dict[int, int]], nbr_mask: list[int], tau: list[int], s: int) -> int:
+    """Weighted spanning-tree sum of the connected subgraph induced by the
+    vertex set s, given tau of its connected proper subsets.  A leaf v of
+    G[s] hangs off every spanning tree by its one edge, so
+    tau(s) = a(v, x) * tau(s - v); otherwise it is the Laplacian determinant
+    with the row and column of min s removed."""
+    members = [v for v in range(s.bit_length()) if s >> v & 1]
+    if len(members) == 1:
+        return 1
+    for v in members:
+        inside = nbr_mask[v] & s
+        if inside & (inside - 1) == 0:
+            return adj[v][inside.bit_length() - 1] * tau[s ^ (1 << v)]
+    first, *rest = members
+    rows = []
+    for j, v in enumerate(rest):
+        row = [-adj[v].get(u, 0) for u in rest]
+        row[j] = adj[v].get(first, 0) - sum(row)  # v's weighted degree in G[s]
+        rows.append(row)
+    return _bareiss_det(rows)
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of a non-empty square integer matrix by Bareiss's
+    fraction-free elimination: every division is exact."""
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        p = next((i for i, row in enumerate(rows) if row[0]), None)
+        if p is None:
+            return 0
+        if p:
+            sign = -sign
+            rows[0], rows[p] = rows[p], rows[0]
+        pivot, *head = rows[0]
+        rows = [[(x * pivot - row[0] * y) // prev for x, y in zip(row[1:], head)] for row in rows[1:]]
+        prev = pivot
+    return sign * rows[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,23 @@ def test_every_hook_resolves_to_a_callable(monkeypatch):
 
 def test_hooks_see_the_forest_core(monkeypatch):
     spans, modules = _load_spans(monkeypatch)
+    forest = modules["forest"]
+    k4 = named_graph("k4")
     tracer = spans.Tracer()
     with tracer.installed(modules):
-        # no reduction applies to K4, so the whole graph is the core
-        modules["forest"].forest_poly_sp(named_graph("k4"), [Fraction(1)] * 6)
+        # the enumeration oracle makes one core call over all of K4
+        forest.bruteforce_simple_oracle(Fraction(1))(k4)
     metrics = spans.layer_metrics(tracer.spans)
-    assert metrics["forest.sp_calls"] == metrics["forest.core_calls"] == 1
+    assert metrics["forest.sp_calls"] == 0
+    assert metrics["forest.core_calls"] == 1
     assert metrics["forest.core_edges_max"] == 6
     assert metrics["kernels.forests_enumerated"] == 38
+
+    tracer = spans.Tracer()
+    with tracer.installed(modules):
+        # the series-parallel evaluator hands its core to the vertex-subset
+        # DP, which the hooks do not see
+        assert forest.forest_poly_sp(k4, [Fraction(1)] * 6) == 38
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["forest.sp_calls"] == 1
+    assert metrics["forest.core_calls"] == metrics["kernels.forests_enumerated"] == 0

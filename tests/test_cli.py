@@ -28,6 +28,16 @@ def test_forest_poly_k3(capsys):
     assert "forest count: 7" in out
 
 
+def test_forest_core_vertex_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "k17.txt"
+    pairs = [(u, v) for u in range(17) for v in range(u + 1, 17)]
+    path.write_text(f"p graph 17 {len(pairs)}\n" + "".join(f"e {u} {v}\n" for u, v in pairs))
+    for argv in (("tutte", "--x", "2"), ("forest-poly", "--at", "1")):
+        code, _, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
+        assert code == 3
+        assert "17 vertices exceeds the vertex guard of 16" in err
+
+
 def test_forest_poly_at_point(capsys):
     code, out, _ = run(capsys, "forest-poly", "--graph", "c4", "--at", "1/2")
     assert code == 0

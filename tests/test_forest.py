@@ -72,6 +72,8 @@ def test_forest_weights_totality():
             forest_poly_bruteforce(g, weights)
         with pytest.raises(ValueError, match="edge records"):
             forest_value_bruteforce(g, weights)
+        with pytest.raises(ValueError, match="edge records"):
+            forest_poly_sp(g, weights)
     assert forest_value_bruteforce(g, {i: F(2) for i in range(3)}) == 1 + 3 * 2 + 3 * 4
     assert forest_value_bruteforce(g, [F(2)] * 3) == 1 + 3 * 2 + 3 * 4
     with pytest.raises(ValueError, match="rational"):
@@ -163,6 +165,10 @@ def test_forest_sp_matches_enumeration_on_random_multigraphs(case):
 K4_ON_0456 = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
 
 
+def _complete(n):
+    return [Edge(u, v) for u in range(n) for v in range(u + 1, n)]
+
+
 def _hub_pair(extra):
     """Hubs 0 and 1 joined through 2 and through 3, plus the given edges."""
     return [Edge(0, 2), Edge(2, 1), Edge(0, 3), Edge(3, 1)] + extra
@@ -184,7 +190,7 @@ def _hub_pair(extra):
             Multigraph(8, [Edge(i, (i + 1) % 5) for i in range(5)] + [Edge(5, 6), Edge(6, 7), Edge(5, 7)]),
             [F(2, 3)] * 8,
         ),
-        # even stretches at w = -1/2: every chain stays for the core
+        # even stretches at w = -1/2: every chain has a vanishing factor and merges its ends
         (stretch(named_graph("k4"), 2), [F(-1, 2)] * 12),
         (stretch(named_graph("c4"), 2), [F(-1, 2)] * 8),
         (stretch(Multigraph(3, [Edge(0, 1, 2), Edge(1, 2), Edge(0, 2)]), 2), [F(-1, 2)] * 8),
@@ -198,24 +204,25 @@ def test_forest_sp_fixed_cases(g, weights):
 
 
 def _record_cores(monkeypatch):
-    """Record each core that forest_poly_sp enumerates; return the list."""
+    """Record the edge list of each core that forest_poly_sp hands to the
+    vertex-subset DP; return the list."""
     cores = []
-    enumerate_core = forest.forest_value_bruteforce
+    core_value = forest.vertex_core_value
 
-    def record(core, weights):
-        cores.append(core)
-        return enumerate_core(core, weights)
+    def record(edges):
+        cores.append(edges)
+        return core_value(edges)
 
-    monkeypatch.setattr(forest, "forest_value_bruteforce", record)
+    monkeypatch.setattr(forest, "vertex_core_value", record)
     return cores
 
 
 def _sp_core(monkeypatch, g, t):
-    """Run forest_poly_sp at weight t and return the core edge list it enumerates."""
+    """Run forest_poly_sp at weight t and return the core's vertex pairs."""
     cores = _record_cores(monkeypatch)
     forest_poly_sp(g, {i: t for i in range(g.m)})
     (core,) = cores
-    return [(e.u, e.v) for e in core.edges]
+    return [(u, v) for u, v, _ in core]
 
 
 def test_forest_sp_core_shape(monkeypatch):
@@ -228,6 +235,17 @@ def test_forest_sp_core_shape(monkeypatch):
     assert _sp_core(monkeypatch, sorted_petersen, F(1, 2)) == pairs
 
 
+def test_forest_sp_vanishing_chain_merges_its_ends(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # K5 with its edge 0-1 replaced by the chain 0-5-1, weights 1/3 and -4/3:
+    # the chain's factor 1 + 1/3 - 4/3 vanishes, so 1 merges into 0
+    g = Multigraph(6, [e for e in _complete(5) if (e.u, e.v) != (0, 1)] + [Edge(0, 5), Edge(5, 1)])
+    weights = [F(2, 3)] * 9 + [F(1, 3), F(-4, 3)]
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+    (core,) = cores
+    assert sorted({v for u, w, _ in core for v in (u, w)}) == [0, 2, 3, 4]
+
+
 def test_forest_sp_zero_prefactor_skips_core(monkeypatch):
     cores = _record_cores(monkeypatch)
     # a 4-cycle hanging off vertex 0 at w = -1/2: its factor is zero
@@ -238,12 +256,76 @@ def test_forest_sp_zero_prefactor_skips_core(monkeypatch):
 
 def test_forest_sp_zero_prefactor_over_guard(monkeypatch):
     cores = _record_cores(monkeypatch)
-    # K8 (28 edges, over the enumeration guard) plus a pendant edge at w = -1
-    k8 = [Edge(u, v) for u in range(8) for v in range(u + 1, 8)]
-    g = Multigraph(9, k8 + [Edge(0, 8)])
-    assert g.m > forest.ENUMERATION_GUARD
-    assert forest_poly_sp(g, {i: F(-1) if i == len(k8) else F(1) for i in range(g.m)}) == 0
+    # K17 (a core component over the vertex guard) plus a pendant edge at w = -1
+    k17 = _complete(17)
+    assert 17 > forest.CORE_VERTEX_GUARD
+    g = Multigraph(18, k17 + [Edge(0, 17)])
+    assert forest_poly_sp(g, {i: F(-1) if i == len(k17) else F(1) for i in range(g.m)}) == 0
     assert cores == []
+
+
+def test_forest_sp_vertex_guard():
+    # the same K17 without the vanishing pendant factor reaches the core
+    k17 = Multigraph(17, _complete(17))
+    with pytest.raises(BudgetError, match="vertex guard of 16"):
+        forest_poly_sp(k17, [F(1)] * k17.m)
+    with pytest.raises(BudgetError, match="vertex guard"):
+        tutte_y1(k17, F(2))
+
+
+@pytest.mark.parametrize("n, forests", [(8, 561_948), (10, 205_608_536), (12, 123_373_203_208)])
+def test_tutte_complete_graph_forests(n, forests):
+    # OEIS A001858; K8 has 28 edges, already past the enumeration guard
+    assert tutte_y1(Multigraph(n, _complete(n)), F(2)) == forests
+
+
+def test_forest_sp_core_components(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    two_k4 = Multigraph(8, _complete(4) + [Edge(e.u + 4, e.v + 4) for e in _complete(4)])
+    assert forest_poly_sp(two_k4, [F(1)] * 12) == 38**2
+    (core,) = cores
+    assert len(core) == 12
+
+
+def test_forest_sp_core_skips_isolated_vertices(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # K4 on 0, 4, 5, 6 plus a pendant path 6-7-8: vertices 1, 2, 3 are
+    # isolated and 7, 8 become isolated once the path is reduced
+    g = Multigraph(9, [Edge(u, v) for u, v in K4_ON_0456] + [Edge(6, 7), Edge(7, 8)])
+    weights = [F(2, 3)] * 6 + [F(1, 5), F(-3)]
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+    (core,) = cores
+    assert sorted({v for u, w, _ in core for v in (u, w)}) == [0, 4, 5, 6]
+    assert forest.vertex_core_value([(u, v, F(1)) for u, v in K4_ON_0456]) == 38
+
+
+def test_forest_sp_core_common_denominator_and_negative_weights():
+    # K5 leaves nothing to reduce; the weights need D = 2*3*5*7 = 210, and
+    # vertex 1's weights sum to zero, so Bareiss must look past a zero pivot
+    g = Multigraph(5, _complete(5))
+    weights = {}
+    for i, e in enumerate(g.edges):
+        weights[i] = {(0, 1): F(1, 2), (1, 2): F(1, 3), (1, 3): F(-1, 2), (1, 4): F(-1, 3)}.get(
+            (e.u, e.v), F(-2, 5) if (e.u + e.v) % 2 else F(3, 7)
+        )
+    value = forest_poly_sp(g, weights)
+    assert value == forest_value_bruteforce(g, weights)
+    assert value.denominator > 1
+
+
+def _cofactor_det(rows):
+    n = len(rows)
+    if n == 0:
+        return 1
+    return sum((-1) ** j * rows[0][j] * _cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]]) for j in range(n))
+
+
+def test_bareiss_det_matches_cofactor_expansion():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        rows = [[rng.choice([0, 0, 0, 1, -1, 2, -3]) for _ in range(n)] for _ in range(n)]
+        assert forest._bareiss_det([r[:] for r in rows]) == _cofactor_det(rows)
 
 
 def test_apex_rhs_guard():
