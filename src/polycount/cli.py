@@ -309,7 +309,7 @@ def build_parser() -> Parser:
     pm.add_argument("--graph", required=True, help="named graph or file path")
     pm.add_argument("--C", type=int, required=True, help="interpolation class size")
     pm.add_argument("--x", default="2", help="oracle evaluation point (rational, != 1)")
-    pm.add_argument("--k", type=int, default=3, help="stretch factor (odd)")
+    pm.add_argument("--k", type=int, default=3, help="stretch factor (odd, at least 3)")
     pm.add_argument("--transcript", help="write oracle queries as JSON lines")
     pm.set_defaults(fn=cmd_reduce_pm)
     bis = kinds.add_parser("bis", help="independent sets via a bipartite cover oracle")

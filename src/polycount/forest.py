@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import kernels
@@ -151,11 +151,6 @@ def stretched_edge_weight(w: Rat, k: int) -> Rat:
     return w**k / denom
 
 
-def _chain_factor(ws: Sequence[Rat]) -> Rat:
-    """prod(1+w) - prod(w): the forest weight of all proper subsets of a chain."""
-    return prod(1 + w for w in ws) - prod(ws)
-
-
 def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     """Evaluate the weighted forest sum by graph reduction plus a small core.
 
@@ -170,6 +165,13 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     whose prefactor vanishes cannot be divided by: every forest left uses the
     whole chain, so it contributes prod(w) and its two ends merge.
 
+    The reducer runs on integers: every weight, and the prefactor, is an
+    unnormalised pair (a, b) standing for a/b with b != 0.  Writing
+    w_i = a_i/b_i, a chain has A = prod(a), B = prod(b), S = prod(a+b); it
+    vanishes when S == A, and otherwise becomes the edge (A, S - A) and the
+    prefactor (S - A, B).  Nothing is reduced by a gcd until the hand-off,
+    which builds one Fraction for the prefactor and one per core edge.
+
     Every vertex left then has degree 0 or at least 3.  That core goes to
     vertex_core_value, the integer vertex-subset DP with Bareiss
     determinants, whose connected components must each fit CORE_VERTEX_GUARD
@@ -177,60 +179,72 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     answer.  Enumeration (forest_value_bruteforce) is only the independent
     check of this evaluator.
     """
-    adj: list[dict[int, Fraction]] = [{} for _ in range(g.n)]
+    adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
 
-    def join(u: int, v: int, w: Fraction) -> None:
-        w += adj[u].get(v, 0)
-        if w:
-            adj[u][v] = adj[v][u] = w
-        elif v in adj[u]:
+    def join(u: int, v: int, a: int, b: int) -> None:
+        old = adj[u].get(v)
+        if old is not None:
+            c, d = old
+            a, b = a * d + c * b, b * d
+        if a:
+            adj[u][v] = adj[v][u] = (a, b)
+        elif old is not None:
             del adj[u][v], adj[v][u]
 
     for e, w in zip(g.edges, _weight_list(g, weights)):
-        join(e.u, e.v, e.mult * Fraction(w))
-    prefactor = Fraction(1)
+        if not isinstance(w, (int, Fraction)):
+            w = Fraction(w)  # a symbol name raises ValueError
+        join(e.u, e.v, e.mult * w.numerator, w.denominator)
+    pre_num = pre_den = 1  # the prefactor pre_num / pre_den
     stack = [v for v in range(g.n) if len(adj[v]) <= 2]
     while stack:
         v = stack.pop()
         # degrees never grow, so a vertex pushed whenever it loses an edge is
         # popped again whenever a rule may newly apply to it
         if len(adj[v]) == 1:
-            ((u, w),) = adj[v].items()
-            prefactor *= 1 + w
+            ((u, (a, b)),) = adj[v].items()
+            pre_num *= a + b
+            pre_den *= b
             del adj[v][u], adj[u][v]
             stack.append(u)
         elif len(adj[v]) == 2:
             path = _chain_through(adj, v)
             left, right = path[0], path[-1]
-            ws = [adj[a][b] for a, b in zip(path, path[1:])]
-            factor = _chain_factor(ws)
-            for a, b in zip(path, path[1:]):
-                del adj[a][b], adj[b][a]
+            prod_a = prod_b = prod_ab = 1
+            for x, y in zip(path, path[1:]):
+                a, b = adj[x].pop(y)
+                del adj[y][x]
+                prod_a *= a
+                prod_b *= b
+                prod_ab *= a + b
+            pre_den *= prod_b
+            factor = prod_ab - prod_a  # the prefactor is factor / prod_b
             if left == right or factor:
-                prefactor *= factor
+                pre_num *= factor
                 if left != right:
-                    join(left, right, prod(ws) / factor)
+                    join(left, right, prod_a, factor)
             else:
                 # only forests that use the whole chain are left: its ends
                 # merge, and a bundle between them, now a loop, drops out
-                prefactor *= prod(ws)
+                pre_num *= prod_a
                 adj[left].pop(right, None)
                 adj[right].pop(left, None)
-                for x, w in adj[right].items():
+                for x, (a, b) in adj[right].items():
                     del adj[x][right]
-                    join(left, x, w)
+                    join(left, x, a, b)
                     stack.append(x)
                 adj[right].clear()
             stack += (left, right)
-    if prefactor == 0:
+    prefactor = Fraction(pre_num, pre_den)
+    if pre_num == 0:
         return prefactor
-    core_edges = [(u, v, w) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
+    core_edges = [(u, v, Fraction(*w)) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
     if not core_edges:
         return prefactor
     return prefactor * vertex_core_value(core_edges)
 
 
-def _chain_through(adj: list[dict[int, Fraction]], v: int) -> list[int]:
+def _chain_through(adj: list[dict[int, tuple[int, int]]], v: int) -> list[int]:
     """Vertices of the maximal chain of degree-2 vertices through v, from one
     end to the other; both ends are v when the chain is a whole cycle."""
     halves = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Mapping, Optional
 
 from .errors import BudgetError
@@ -34,7 +35,8 @@ class PmReductionParams:
     C is the interpolation class size (edges sharing one indeterminate);
     x is the evaluation point the simulated oracle works at (x != 1), giving
     t = 1/(x-1); k is the stretch factor, odd so the reparameterized weight
-    z0 = t^k / ((t+1)^k - t^k) is always defined.  z0 = 0 never happens since
+    z0 = t^k / ((t+1)^k - t^k) is always defined, and at least 3 so every
+    stretched query graph is simple.  z0 = 0 never happens since
     t = 1/(x-1) cannot be 0.
     """
 
@@ -48,8 +50,8 @@ class PmReductionParams:
         object.__setattr__(self, "x", Fraction(self.x))
         if self.x == 1:
             raise ValueError("x = 1 is excluded (the forest bridge divides by x - 1)")
-        if self.k < 1 or self.k % 2 == 0:
-            raise ValueError("stretch factor k must be a positive odd integer")
+        if self.k < 3 or self.k % 2 == 0:
+            raise ValueError(f"stretch factor k must be an odd integer >= 3, got {self.k}")
 
     @property
     def t(self) -> Rat:
@@ -96,12 +98,13 @@ def simulate_oracle_via_stretch(
 
     Integer weight multiples are already realized as parallel edges of h;
     stretching every copy into a k-path yields a simple graph whose forest
-    sum at t equals the wanted value times ((t+1)^k - t^k) per copy.
+    sum at t equals the wanted value times ((t+1)^k - t^k) per copy.  The
+    graph handed to simple_oracle is checked to be simple.
     """
     prefactor = params.stretch_prefactor
     m_copies = h.total_mult
     h_simple = stretch(h, params.k) if m_copies else h
-    raw = simple_oracle(h_simple)
+    raw = simple_oracle(h_simple.as_simple())
     return Fraction(raw) / prefactor**m_copies
 
 
@@ -160,36 +163,31 @@ def block_interpolation(
         raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {query_budget}")
     nodes = [Fraction(j) for j in range(params.C + 1)]
     values: dict[tuple[Rat, ...], Rat] = {}
-
-    def fill(point: list[Rat]) -> None:
-        if len(point) == len(classes):
-            wprime = {}
-            for cls, val in zip(classes, point):
-                for edge_id in cls:
-                    wprime[edge_id] = int(val)
-            query = {
-                "point": [str(v) for v in point],
-                "multiplicities": {str(k): v for k, v in sorted(wprime.items())},
-            }
-            try:
-                answer = oracle(wprime)
-            except Exception as exc:
-                if transcript is not None:
-                    transcript.record("forest-sum query", query, f"error: {exc}", "oracle failure")
-                raise
-            values[tuple(point)] = answer
+    # a flat loop in lexicographic order: no closure that refers to itself
+    # holds the values and the transcript in a reference cycle after return
+    for point in product(nodes, repeat=len(classes)):
+        wprime = {}
+        for cls, val in zip(classes, point):
+            for edge_id in cls:
+                wprime[edge_id] = int(val)
+        query = {
+            "point": [str(v) for v in point],
+            "multiplicities": {str(k): v for k, v in sorted(wprime.items())},
+        }
+        try:
+            answer = oracle(wprime)
+        except Exception as exc:
             if transcript is not None:
-                transcript.record(
-                    purpose="forest-sum query",
-                    query=query,
-                    answer=answer,
-                    derived=f"F at z0*point, z0={params.z0}",
-                )
-            return
-        for v in nodes:
-            fill(point + [v])
-
-    fill([])
+                transcript.record("forest-sum query", query, f"error: {exc}", "oracle failure")
+            raise
+        values[point] = answer
+        if transcript is not None:
+            transcript.record(
+                purpose="forest-sum query",
+                query=query,
+                answer=answer,
+                derived=f"F at z0*point, z0={params.z0}",
+            )
     poly = grid_interpolate(
         values,
         {name: params.C for name in names},

@@ -72,6 +72,15 @@ def test_reduce_pm_x_one_usage_error(capsys):
     assert code == 1
 
 
+def test_reduce_pm_unstretched_k_usage_error(capsys):
+    # k = 1 would send multigraphs to the simple-graph oracle
+    for k in ("1", "2"):
+        code, out, err = run(capsys, "reduce", "pm", "--graph", "c4", "--C", "2", "--k", k)
+        assert code == 1
+        assert "odd integer >= 3" in err
+        assert "AGREE" not in out
+
+
 def test_reduce_pm_over_budget_skips_pipeline(capsys, tmp_path, monkeypatch):
     path = tmp_path / "m9.txt"
     path.write_text("p graph 18 9\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(9)))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,8 +62,16 @@ def test_forest_poly_constant_term_and_degree_bound():
 
 def test_forest_poly_guard():
     g = Multigraph(2, [Edge(0, 1, 23)])
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="enumeration guard of 22"):
         forest_poly_bruteforce(g)
+    with pytest.raises(BudgetError, match="enumeration guard of 22"):
+        forest_value_bruteforce(g, [F(1)])
+    # copies count with multiplicity: 22 parallel copies, at the guard, have
+    # the empty forest and 22 single edges
+    assert forest.ENUMERATION_GUARD == 22
+    at_bound = Multigraph(2, [Edge(0, 1, 22)])
+    assert forest_poly_bruteforce(at_bound).forest_count == 23
+    assert forest_value_bruteforce(at_bound, [F(1)]) == 23
 
 
 def test_forest_weights_totality():
@@ -169,6 +178,12 @@ def _complete(n):
     return [Edge(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _prism(n):
+    """C_n x K2: two n-cycles 0..n-1 and n..2n-1 joined by the rungs i -- n+i."""
+    cycles = [Edge(i, (i + 1) % n) for i in range(n)] + [Edge(n + i, n + (i + 1) % n) for i in range(n)]
+    return cycles + [Edge(i, n + i) for i in range(n)]
+
+
 def _hub_pair(extra):
     """Hubs 0 and 1 joined through 2 and through 3, plus the given edges."""
     return [Edge(0, 2), Edge(2, 1), Edge(0, 3), Edge(3, 1)] + extra
@@ -201,6 +216,31 @@ def _hub_pair(extra):
 def test_forest_sp_fixed_cases(g, weights):
     weights = dict(enumerate(weights))
     assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+
+
+def test_forest_sp_doubly_stretched_k4():
+    # 54 edges, far past the enumeration guard; every chain of three collapses
+    # twice over.  Read backwards, the stretch identity F(stretch(G, 3); w) =
+    # prod over edges of ((w+1)^3 - w^3) * F(G; w^3 / ((w+1)^3 - w^3)) gives
+    # the value from enumeration of K4 (after two steps) or of stretch(K4, 3)
+    k4 = named_graph("k4")
+    once = stretch(k4, 3)
+    twice = stretch(once, 3)
+    assert twice.m == 54
+
+    def factor(ws):
+        return prod((w + 1) ** 3 - w**3 for w in ws)
+
+    # weights constant on each edge of K4: apply the identity twice
+    per_k4 = [F(2, 3), F(-3, 5), F(-1, 2), F(7, 4), F(-2), F(1, 7)]
+    inner = [stretched_edge_weight(w, 3) for w in per_k4]
+    want = factor([w for w in per_k4 for _ in range(3)]) * factor(inner)
+    want *= forest_value_bruteforce(k4, [stretched_edge_weight(w, 3) for w in inner])
+    assert forest_poly_sp(twice, [w for w in per_k4 for _ in range(9)]) == want
+    # weights that differ along each chain of stretch(K4, 3): apply it once
+    per_once = [(F(-3, 2), F(2, 5), F(-1, 3))[i % 3] for i in range(once.m)]
+    want = factor(per_once) * forest_value_bruteforce(once, [stretched_edge_weight(w, 3) for w in per_once])
+    assert forest_poly_sp(twice, [w for w in per_once for _ in range(3)]) == want
 
 
 def _record_cores(monkeypatch):
@@ -246,6 +286,32 @@ def test_forest_sp_vanishing_chain_merges_its_ends(monkeypatch):
     assert sorted({v for u, w, _ in core for v in (u, w)}) == [0, 2, 3, 4]
 
 
+def test_forest_sp_bundle_cancels_after_two_chains_collapse(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # K5 on 0, 1, 4, 5, 6 without its edge 0-1, plus the chains 0-2-1 at
+    # (1, 1) and 0-3-1 at (1/2, -3/5): they collapse to the edges 1/3 and
+    # -1/3 between 0 and 1, whose bundle then sums to zero and drops out
+    k5_minus = [Edge(u, v) for u in (0, 1) for v in (4, 5, 6)] + [Edge(4, 5), Edge(4, 6), Edge(5, 6)]
+    g = Multigraph(7, _hub_pair(k5_minus))
+    weights = [F(1), F(1), F(1, 2), F(-3, 5)] + [F(2, 3)] * 9
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+    (core,) = cores
+    assert sorted((u, v) for u, v, _ in core) == sorted((e.u, e.v) for e in k5_minus)
+
+
+def test_forest_sp_chain_with_negative_denominator(monkeypatch):
+    cores = _record_cores(monkeypatch)
+    # K5 with its edge 0-1 replaced by the chain 0-5-1 at (-2, -2): the
+    # chain's A = 4 exceeds S = (-1)(-1) = 1, so its edge is the pair (4, -3),
+    # which reaches the core as the Fraction -4/3
+    g = Multigraph(6, [e for e in _complete(5) if (e.u, e.v) != (0, 1)] + [Edge(0, 5), Edge(5, 1)])
+    weights = [F(1, 2)] * 9 + [F(-2), F(-2)]
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+    (core,) = cores
+    chain_edge = [w for u, v, w in core if (u, v) == (0, 1)]
+    assert chain_edge == [F(-4, 3)] and chain_edge[0].denominator == 3
+
+
 def test_forest_sp_zero_prefactor_skips_core(monkeypatch):
     cores = _record_cores(monkeypatch)
     # a 4-cycle hanging off vertex 0 at w = -1/2: its factor is zero
@@ -271,6 +337,16 @@ def test_forest_sp_vertex_guard():
         forest_poly_sp(k17, [F(1)] * k17.m)
     with pytest.raises(BudgetError, match="vertex guard"):
         tutte_y1(k17, F(2))
+    # at the bound: the prism C8 x K2 is 3-regular, so its 16 vertices all
+    # stay in the core; its forest count, by deletion-contraction of two
+    # rungs over enumeration of the four 22-edge minors, is 9,446,592
+    assert forest.CORE_VERTEX_GUARD == 16
+    prism = Multigraph(16, _prism(8))
+    assert forest_poly_sp(prism, [F(1)] * prism.m) == 9_446_592
+    # a 17th vertex of degree 3 joins the core, which is then refused
+    g = Multigraph(17, _prism(8) + [Edge(0, 16), Edge(4, 16), Edge(8, 16)])
+    with pytest.raises(BudgetError, match="core component of 17 vertices"):
+        forest_poly_sp(g, [F(1)] * g.m)
 
 
 @pytest.mark.parametrize("n, forests", [(8, 561_948), (10, 205_608_536), (12, 123_373_203_208)])

@@ -1,4 +1,6 @@
+import gc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -33,6 +35,11 @@ def test_params_validation():
         PmReductionParams(C=2, x=F(1))
     with pytest.raises(ValueError):
         PmReductionParams(C=2, k=2)
+    # k = 1 would leave every parallel copy in place: the queries are not simple
+    for k in (1, -1, -3):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            PmReductionParams(C=2, k=k)
+    assert PmReductionParams(C=2, k=5).k == 5
     p = PmReductionParams(C=2, x=F(2))
     assert p.t == 1 and p.z0 == F(1, 7)
     p = PmReductionParams(C=2, x=F(-1))
@@ -61,6 +68,45 @@ def test_simulate_oracle_matches_bruteforce_on_stretched_graph():
     # every parallel copy carries weight z0, so a bundle of 2 acts like 2*z0
     want = forest_value_bruteforce(h, {0: params.z0, 1: params.z0})
     assert got == want == 1 + 3 * params.z0 + 2 * params.z0**2
+
+
+def test_every_query_graph_is_simple():
+    seen = []
+    oracle = sp_simple_oracle(F(1))  # t = 1 at x = 2
+
+    def spy(h):
+        seen.append(h)
+        return oracle(h)
+
+    for k in (3, 5):
+        result = count_pm(named_graph("c4"), PmReductionParams(C=2, x=F(2), k=k), simple_oracle=spy)
+        assert result.count == 2
+    assert len(seen) == 2 * 81
+    assert all(h.simple and h.is_simple() for h in seen)
+
+
+def test_simulate_oracle_refuses_a_multigraph_query():
+    # parameters that skip the stretch's simplicity: the bundle of two copies
+    # must not reach the simple-graph oracle
+    unstretched = SimpleNamespace(k=1, stretch_prefactor=F(1))
+    calls = []
+    with pytest.raises(ValueError, match="parallel edges"):
+        simulate_oracle_via_stretch(Multigraph(2, [Edge(0, 1, 2)]), unstretched, calls.append)
+    assert calls == []
+
+
+def test_count_pm_leaves_no_cyclic_garbage():
+    # every object of a call is freed by reference counting on return, so
+    # the grid, its values and the transcript never wait for the collector
+    g = named_graph("c4")
+    params = PmReductionParams(C=2, x=F(2))
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_pm(g, params).count == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_block_interpolation_recovers_bivariate():

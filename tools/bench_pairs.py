@@ -10,8 +10,10 @@ that slow drift of the machine falls on both sides alike.  One `--trace 1`
 run per checkout and workload, on seed 1, gives the per-layer counts.
 
 The record holds, per workload and end-to-end metric, both sides' values,
-medians and quartiles and the number of pairs the change won (all four
-metrics are better when lower), plus both commits, the Python version and
+medians and quartiles, the number of pairs the change won (all four
+metrics are better when lower) and whether the change's median stays within
+the metric's BENCHMARK.json bound of the parent's (at most parent median *
+(1 + bound)), plus both commits, the Python version and
 `kernels.BACKEND` as the runs reported them.  Numbers are integers or
 decimal strings, never floats.  Standard library only.
 """
@@ -69,18 +71,21 @@ def spread(values: list[float]) -> dict:
     return {"median": decimal(median(values)), "q1": decimal(q1), "q3": decimal(q3)}
 
 
-def compare(pairs: list[dict]) -> dict:
-    """Per metric: both sides' values and spreads, and the pairs the change won."""
+def compare(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Per metric: both sides' values and spreads, the pairs the change won,
+    and whether the change's median is within the metric's bound."""
     out = {}
     for metric in END_TO_END:
         values = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
         parent_q1, _, parent_q3 = quantiles(values["parent"], n=4)
-        gap = median(values["parent"]) - median(values["change"])
+        parent_median, change_median = median(values["parent"]), median(values["change"])
         out[metric] = {
             **{side: dict(spread(values[side]), values=[decimal(v) for v in values[side]]) for side in SIDES},
             "pairs_won": sum(c < p for p, c in zip(values["parent"], values["change"])),
             "pairs": len(pairs),
-            "median_gain_exceeds_parent_iqr": gap > parent_q3 - parent_q1,
+            "median_gain_exceeds_parent_iqr": parent_median - change_median > parent_q3 - parent_q1,
+            "bound": decimal(bounds[metric]),
+            "within_bound": change_median <= parent_median * (1 + bounds[metric]),
         }
     return out
 
@@ -95,6 +100,7 @@ def main() -> int:
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     benchmark = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     record = {side: describe(path) for side, path in checkouts.items()}
     record.update(seconds=decimal(seconds), seeds=list(SEEDS), workloads={})
     seen = set()
@@ -112,7 +118,7 @@ def main() -> int:
             "failed": {side: sum(p[side]["failed"] for p in pairs) for side in SIDES},
             "attempted": {side: sum(p[side]["attempted"] for p in pairs) for side in SIDES},
             "all_correct": all(p[side]["correct"] for p in pairs for side in SIDES),
-            "metrics": compare(pairs),
+            "metrics": compare(pairs, bounds),
             "traced": {
                 "seed": SEEDS[0],
                 **{side: {name: exact(m["value"]) for name, m in traced[side]["metrics"].items()} for side in SIDES},
