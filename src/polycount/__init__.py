@@ -43,13 +43,11 @@ from .graphs import (
     substitute_gadget,
 )
 from .oracles import (
-    OracleBudget,
     forests_bruteforce,
     is_bruteforce,
     pm_bruteforce,
     vc_bipartite,
     vc_bruteforce,
-    vc_bruteforce_bucketed,
 )
 from .pm_reduction import (
     PmReductionParams,

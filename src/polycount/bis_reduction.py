@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
+from . import oracles
 from .errors import BudgetError
 from .graphs import BlockPartition, Multigraph, gadget_size, partition_edges, substitute_gadget
-from .oracles import OracleBudget, DEFAULT_BUDGET, vc_bipartite, vc_bruteforce
+from .oracles import vc_bipartite, vc_bruteforce
 from .polynomials import KroneckerSystem, VandermondeFactor, kronecker_apply, kronecker_solve
 from .transcripts import OracleTranscript
 
@@ -25,6 +26,7 @@ TypeMatrix = tuple[tuple[int, int, int], ...]
 BipartiteOracle = Callable[[Multigraph], int]
 
 CONDITIONING_GUARD = 20  # original-graph vertices; conditioned_vc scans 2^n sets
+GRID_GUARD = 1 << 17  # oracle queries of one count_is grid, (d + 1)^(3 * blocks)
 
 
 def gadget_counts(ell: int) -> tuple[int, int, int]:
@@ -114,29 +116,28 @@ def _resolve_oracle(
     oracle: Union[str, BipartiteOracle],
     g: Multigraph,
     part: BlockPartition,
-    budget: OracleBudget,
     max_fold: int,
 ) -> Callable[[Sequence[int], int], tuple[str, int]]:
     """A function of (ells, gadget vertex count) that answers the query and
     names the oracle that did.  Only the oracles that read the gadget graph
     build it.  The brute oracle checks its largest gadget, max_fold folds in
-    every block, against the subset budget before any query runs."""
+    every block, against oracles.SUBSET_GUARD before any query runs."""
     if callable(oracle):
         return lambda ells, n: ("custom", oracle(substitute_gadget(g, part, ells)))
     if oracle == "brute":
         largest, _ = gadget_size(g, part, (max_fold,) * part.b)
-        if largest > budget.subset_vertices:
+        if largest > oracles.SUBSET_GUARD:
             raise BudgetError(
-                f"largest gadget has {largest} vertices, exceeding the subset budget of {budget.subset_vertices}"
+                f"largest gadget has {largest} vertices, exceeding the subset budget of {oracles.SUBSET_GUARD}"
             )
-        return lambda ells, n: ("brute", vc_bruteforce(substitute_gadget(g, part, ells), budget))
+        return lambda ells, n: ("brute", vc_bruteforce(substitute_gadget(g, part, ells)))
     if oracle == "conditioned":
         return lambda ells, n: ("conditioned", conditioned_vc(g, part, ells))
     if oracle == "auto":
 
         def auto(ells: Sequence[int], n: int) -> tuple[str, int]:
-            if n <= budget.subset_vertices:
-                return "side-enumeration", vc_bipartite(substitute_gadget(g, part, ells), budget)
+            if n <= oracles.SUBSET_GUARD:
+                return "side-enumeration", vc_bipartite(substitute_gadget(g, part, ells))
             return "conditioned", conditioned_vc(g, part, ells)
 
         return auto
@@ -147,8 +148,6 @@ def count_is(
     g: Multigraph,
     d: int,
     oracle: Union[str, BipartiteOracle] = "auto",
-    grid_budget: int = 1 << 17,
-    budget: Optional[OracleBudget] = None,
 ) -> BisRunResult:
     """Count independent sets of a simple graph via bipartite oracle queries.
 
@@ -160,20 +159,19 @@ def count_is(
     the independent-set count by complementation.
 
     In "auto" mode a query whose gadget graph has at most
-    budget.subset_vertices vertices goes to vc_bipartite, a larger one to
+    oracles.SUBSET_GUARD vertices goes to vc_bipartite, a larger one to
     conditioned_vc.  In "brute" mode the largest gadget is checked against
-    budget.subset_vertices before the first query.  Each transcript entry
+    oracles.SUBSET_GUARD before the first query.  Each transcript entry
     names the oracle that answered.
     """
     g = g.as_simple()
-    budget = budget or DEFAULT_BUDGET
     part = partition_edges(g, d)
     factor = VandermondeFactor(d)
     size = factor.size
     n_queries = size**part.b
-    if n_queries > grid_budget:
-        raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {grid_budget}")
-    run_oracle = _resolve_oracle(oracle, g, part, budget, size)
+    if n_queries > GRID_GUARD:
+        raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {GRID_GUARD}")
+    run_oracle = _resolve_oracle(oracle, g, part, size)
     transcript = OracleTranscript()
     rhs = {}
     for ells in product(range(1, size + 1), repeat=part.b):

@@ -16,12 +16,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from . import csp, oracles
 from .bis_reduction import count_is
 from .csp import classify, count_affine, count_bruteforce, instance_from_json, relations_from_json
 from .errors import BudgetError, GraphParseError
 from .forest import forest_poly_bruteforce, forest_poly_sp, tutte_y1
 from .graphs import Multigraph, NAMED_GRAPHS, named_graph, parse_graph
-from .oracles import DEFAULT_BUDGET, forests_bruteforce, is_bruteforce, pm_bruteforce, vc_bruteforce
+from .oracles import forests_bruteforce, is_bruteforce, pm_bruteforce, vc_bruteforce
 from .pm_reduction import PmReductionParams, count_pm
 from .verify import run_suites
 
@@ -119,9 +120,9 @@ def cmd_reduce_pm(args) -> int:
         params = PmReductionParams(C=args.C, x=parse_rational(args.x), k=args.k)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if g.n > DEFAULT_BUDGET.pm_vertices:
+    if g.n > oracles.PM_VERTEX_GUARD:
         # the cross-check would refuse after the whole pipeline had run
-        raise BudgetError(f"{g.n} vertices exceeds the matching budget of {DEFAULT_BUDGET.pm_vertices}")
+        raise BudgetError(f"{g.n} vertices exceeds the matching budget of {oracles.PM_VERTEX_GUARD}")
     result = count_pm(g, params)
     truth = pm_bruteforce(g)
     wall = int((time.monotonic() - start) * 1000)
@@ -273,7 +274,7 @@ def cmd_csp(args) -> int:
     answers = {"answer": str(value), "method": method}
     exit_code = EXIT_OK
     notes = []
-    if all_affine and inst.n <= DEFAULT_BUDGET.csp_vars:
+    if all_affine and inst.n <= csp.CSP_VAR_GUARD:
         check = count_bruteforce(inst)
         answers["oracle answer"] = str(check)
         answers["verdict"] = "AGREE" if check == value else "DISAGREE"

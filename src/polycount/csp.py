@@ -16,7 +16,8 @@ from typing import Optional, Sequence, Union
 from . import kernels
 from .errors import BudgetError
 from .graphs import Multigraph
-from .oracles import DEFAULT_BUDGET, OracleBudget
+
+CSP_VAR_GUARD = 24  # variables of a brute-force count, which visits all 2^n assignments
 
 
 @dataclass(frozen=True)
@@ -158,11 +159,10 @@ def count_affine(inst: CspInstance) -> int:
     return 2 ** (inst.n - len(pivots))
 
 
-def count_bruteforce(inst: CspInstance, budget: Optional[OracleBudget] = None) -> int:
+def count_bruteforce(inst: CspInstance) -> int:
     """Exact model count by enumerating all assignments."""
-    budget = budget or DEFAULT_BUDGET
-    if inst.n > budget.csp_vars:
-        raise BudgetError(f"{inst.n} variables exceeds the enumeration budget of {budget.csp_vars}")
+    if inst.n > CSP_VAR_GUARD:
+        raise BudgetError(f"{inst.n} variables exceeds the enumeration budget of {CSP_VAR_GUARD}")
     relmasks = [inst.relations[rid].mask() for rid, _ in inst.constraints]
     scopes = [scope for _, scope in inst.constraints]
     return kernels.count_csp_models(inst.n, relmasks, scopes)

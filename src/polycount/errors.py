@@ -10,8 +10,9 @@ class GraphParseError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """An enumeration was asked to exceed its configured size budget.
+    """An enumeration was asked to exceed its size budget.
 
-    Raised loudly instead of silently grinding for hours; callers can raise
-    the budget explicitly if they really mean it.
+    Raised loudly instead of silently grinding for hours.  Each bound is a
+    module constant beside the check it feeds (for example
+    `oracles.SUBSET_GUARD` or `forest.ENUMERATION_GUARD`).
     """

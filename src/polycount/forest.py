@@ -59,9 +59,7 @@ def _weight_list(g: Multigraph, weights: Weights) -> list[Weight]:
     return [weights[i] for i in range(g.m)]
 
 
-def _profile_by_class(
-    g: Multigraph, weights: Weights, guard: int
-) -> tuple[list[Weight], dict[tuple[int, ...], int]]:
+def _profile_by_class(g: Multigraph, weights: Weights) -> tuple[list[Weight], dict[tuple[int, ...], int]]:
     """Forest counts bucketed by how many edges of each weight class are used.
 
     weights gives each edge record a rational or a symbol name; records with
@@ -70,9 +68,9 @@ def _profile_by_class(
     """
     weights = _weight_list(g, weights)
     copies = _expanded_edges(g)
-    if len(copies) > guard:
+    if len(copies) > ENUMERATION_GUARD:
         raise BudgetError(
-            f"{len(copies)} edges exceeds the enumeration guard of {guard}; "
+            f"{len(copies)} edges exceeds the enumeration guard of {ENUMERATION_GUARD}; "
             "use the series-parallel evaluator for large graphs"
         )
     class_order: list[Weight] = []
@@ -91,9 +89,7 @@ def _profile_by_class(
     return class_order, profile
 
 
-def forest_poly_bruteforce(
-    g: Multigraph, weights: Optional[Weights] = None, guard: int = ENUMERATION_GUARD
-) -> ForestPolyResult:
+def forest_poly_bruteforce(g: Multigraph, weights: Optional[Weights] = None) -> ForestPolyResult:
     """Sum over all acyclic edge subsets of the product of edge weights.
 
     weights holds one rational or symbol name per edge record (a list, or a
@@ -103,7 +99,7 @@ def forest_poly_bruteforce(
     """
     if weights is None:
         weights = [e.label for e in g.edges]
-    class_order, profile = _profile_by_class(g, weights, guard)
+    class_order, profile = _profile_by_class(g, weights)
     sym_positions = [i for i, key in enumerate(class_order) if isinstance(key, str)]
     val_positions = [i for i, key in enumerate(class_order) if not isinstance(key, str)]
     terms: dict[tuple[int, ...], Rat] = {}

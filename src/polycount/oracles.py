@@ -3,69 +3,62 @@
 The brute-force counters exist to be obviously correct: plain enumeration,
 no clever exponential-time algorithms.  `vc_bipartite` is the one faster
 counter, for bipartite graphs only, and the brute-force vertex-cover scan
-is its independent check.  Budgets are explicit so misuse fails loudly
-instead of silently running for hours.
+is its independent check.  Each size bound is a module constant beside its
+check, so misuse fails loudly instead of silently running for hours.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from . import kernels
 from .errors import BudgetError
 from .forest import forest_poly_bruteforce
 from .graphs import Multigraph
 
-
-@dataclass(frozen=True)
-class OracleBudget:
-    """Per-oracle size limits (vertices, edges or variables)."""
-
-    pm_vertices: int = 16
-    subset_vertices: int = 25
-    forest_edges: int = 22
-    csp_vars: int = 24
-
-    def __post_init__(self):
-        if min(self.pm_vertices, self.subset_vertices, self.forest_edges, self.csp_vars) < 0:
-            raise ValueError("budgets must be non-negative")
+PM_VERTEX_GUARD = 16  # vertices of a matching count, which recurses over partners
+SUBSET_GUARD = 25  # vertices (smaller-side vertices for vc_bipartite) whose 2^n subsets a scan visits
 
 
-DEFAULT_BUDGET = OracleBudget()
-
-
-def pm_bruteforce(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
+def pm_bruteforce(g: Multigraph) -> int:
     """Exact perfect-matching count by recursively matching the lowest
     unmatched vertex.  Zero whenever the vertex count is odd."""
-    budget = budget or DEFAULT_BUDGET
     g = g.as_simple()
-    if g.n > budget.pm_vertices:
-        raise BudgetError(f"{g.n} vertices exceeds the matching budget of {budget.pm_vertices}")
+    if g.n > PM_VERTEX_GUARD:
+        raise BudgetError(f"{g.n} vertices exceeds the matching budget of {PM_VERTEX_GUARD}")
     return kernels.count_perfect_matchings(g.n, g.adjacency_masks())
 
 
-def is_bruteforce(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
+def is_bruteforce(g: Multigraph) -> int:
     """Exact independent-set count by subset enumeration."""
-    budget = budget or DEFAULT_BUDGET
-    if g.n > budget.subset_vertices:
-        raise BudgetError(f"{g.n} vertices exceeds the subset budget of {budget.subset_vertices}")
+    if g.n > SUBSET_GUARD:
+        raise BudgetError(f"{g.n} vertices exceeds the subset budget of {SUBSET_GUARD}")
     return kernels.count_independent_sets(g.n, g.adjacency_masks())
 
 
-def vc_bruteforce(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
-    """Exact vertex-cover count by subset enumeration.
+def vc_bruteforce(g: Multigraph, inside: tuple[int, ...] = (), outside: tuple[int, ...] = ()) -> int:
+    """Exact count of the vertex covers that contain `inside` and avoid
+    `outside`, by subset enumeration.
 
-    Always equals the independent-set count (complementation), but computed
-    independently so the pair can cross-check each other.
+    Unconstrained, it always equals the independent-set count
+    (complementation), but computed independently so the pair can
+    cross-check each other.
     """
-    budget = budget or DEFAULT_BUDGET
-    if g.n > budget.subset_vertices:
-        raise BudgetError(f"{g.n} vertices exceeds the subset budget of {budget.subset_vertices}")
-    return kernels.count_vertex_covers(g.n, g.adjacency_masks())
+    strays = [v for v in (*inside, *outside) if not 0 <= v < g.n]
+    if strays:
+        raise ValueError(f"vertices {strays} are outside 0..{g.n - 1}")
+    if g.n > SUBSET_GUARD:
+        raise BudgetError(f"{g.n} vertices exceeds the subset budget of {SUBSET_GUARD}")
+    required = 0
+    for v in inside:
+        required |= 1 << v
+    forbidden = 0
+    for v in outside:
+        forbidden |= 1 << v
+    if required & forbidden:
+        raise ValueError("a vertex cannot be both required and forbidden")
+    return kernels.count_vertex_covers(g.n, g.adjacency_masks(), required, forbidden)
 
 
-def vc_bipartite(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
+def vc_bipartite(g: Multigraph) -> int:
     """Exact vertex-cover count of a bipartite graph by enumerating the
     subsets X of its smaller side S only.
 
@@ -73,15 +66,14 @@ def vc_bipartite(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
     N(X) in the other side T and may contain any part of the rest of T, so it
     contributes 2^(|T| - |N(X)|).  That is 2^|S| steps with |S| <= n/2.
     Raises ValueError on a graph with an odd cycle, and BudgetError when |S|
-    exceeds the subset budget, both before any enumeration.
+    exceeds SUBSET_GUARD, both before any enumeration.
     """
-    budget = budget or DEFAULT_BUDGET
     sides = g.bipartition()
     if sides is None:
         raise ValueError("graph is not bipartite")
     small, other = sorted(sides, key=len)
-    if len(small) > budget.subset_vertices:
-        raise BudgetError(f"smaller side of {len(small)} vertices exceeds the subset budget of {budget.subset_vertices}")
+    if len(small) > SUBSET_GUARD:
+        raise BudgetError(f"smaller side of {len(small)} vertices exceeds the subset budget of {SUBSET_GUARD}")
     bit = {v: 1 << i for i, v in enumerate(sorted(other))}
     side_adj = [0] * g.n
     for e in g.edges:
@@ -106,29 +98,6 @@ def _side_cover_sum(side_adj: list[int], t: int) -> int:
     return walk(0, 0)
 
 
-def vc_bruteforce_bucketed(
-    g: Multigraph, inside: tuple[int, ...] = (), outside: tuple[int, ...] = (), budget: Optional[OracleBudget] = None
-) -> int:
-    """Vertex covers constrained to contain `inside` and avoid `outside`."""
-    budget = budget or DEFAULT_BUDGET
-    strays = [v for v in (*inside, *outside) if not 0 <= v < g.n]
-    if strays:
-        raise ValueError(f"vertices {strays} are outside 0..{g.n - 1}")
-    if g.n > budget.subset_vertices:
-        raise BudgetError(f"{g.n} vertices exceeds the subset budget of {budget.subset_vertices}")
-    required = 0
-    for v in inside:
-        required |= 1 << v
-    forbidden = 0
-    for v in outside:
-        forbidden |= 1 << v
-    if required & forbidden:
-        raise ValueError("a vertex cannot be both required and forbidden")
-    return kernels.count_vertex_covers(g.n, g.adjacency_masks(), required, forbidden)
-
-
-def forests_bruteforce(g: Multigraph, budget: Optional[OracleBudget] = None) -> int:
+def forests_bruteforce(g: Multigraph) -> int:
     """Count acyclic edge subsets; parallel copies count separately."""
-    budget = budget or DEFAULT_BUDGET
-    result = forest_poly_bruteforce(g, guard=budget.forest_edges)
-    return result.forest_count
+    return forest_poly_bruteforce(g).forest_count

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Callable, Mapping, Optional
 
@@ -26,6 +27,8 @@ from .polynomials import Rat, SparsePolynomial, grid_interpolate
 from .transcripts import OracleTranscript
 
 WeightMapOracle = Callable[[Mapping[int, int]], Rat]
+
+QUERY_GUARD = 1 << 20  # oracle queries of one interpolation grid, (C + 1)^classes
 
 
 @dataclass(frozen=True)
@@ -53,15 +56,15 @@ class PmReductionParams:
         if self.k < 3 or self.k % 2 == 0:
             raise ValueError(f"stretch factor k must be an odd integer >= 3, got {self.k}")
 
-    @property
+    @cached_property
     def t(self) -> Rat:
         return 1 / (self.x - 1)
 
-    @property
+    @cached_property
     def z0(self) -> Rat:
         return stretched_edge_weight(self.t, self.k)
 
-    @property
+    @cached_property
     def stretch_prefactor(self) -> Rat:
         """(t+1)^k - t^k, the per-bundle-copy factor removed after stretching."""
         t = self.t
@@ -147,7 +150,6 @@ def block_interpolation(
     params: PmReductionParams,
     oracle: WeightMapOracle,
     transcript: Optional[OracleTranscript] = None,
-    query_budget: int = 1 << 20,
 ) -> SparsePolynomial:
     """Recover the exact two-weight forest polynomial of gprime.
 
@@ -159,8 +161,8 @@ def block_interpolation(
     """
     classes, names = _interpolation_classes(gprime, params.C)
     n_queries = (params.C + 1) ** len(classes)
-    if n_queries > query_budget:
-        raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {query_budget}")
+    if n_queries > QUERY_GUARD:
+        raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {QUERY_GUARD}")
     nodes = [Fraction(j) for j in range(params.C + 1)]
     values: dict[tuple[Rat, ...], Rat] = {}
     # a flat loop in lexicographic order: no closure that refers to itself
@@ -208,7 +210,6 @@ def count_pm(
     g: Multigraph,
     params: PmReductionParams,
     simple_oracle: Optional[SimpleOracle] = None,
-    query_budget: int = 1 << 20,
 ) -> PmRunResult:
     """Count perfect matchings of a simple graph using only forest-sum
     evaluations at the fixed point t on simple graphs.
@@ -219,7 +220,7 @@ def count_pm(
         return PmRunResult(0, True, 0, None, transcript)
     gprime = add_apex(g, collapse_z=True)
     oracle = stretch_backed_oracle(gprime, params, simple_oracle)
-    bivariate = block_interpolation(gprime, params, oracle, transcript, query_budget)
+    bivariate = block_interpolation(gprime, params, oracle, transcript)
     univariate = bivariate.substitute("z", Fraction(-1))
     count, odd = pm_coefficient_extract(univariate, g.n)
     n_classes = -(-g.m // params.C) + -(-g.n // params.C)  # ceil division

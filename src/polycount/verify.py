@@ -39,7 +39,7 @@ from .graphs import (
     stretch,
     substitute_gadget,
 )
-from .oracles import is_bruteforce, pm_bruteforce, vc_bruteforce, vc_bruteforce_bucketed
+from .oracles import is_bruteforce, pm_bruteforce, vc_bruteforce
 from .pm_reduction import PmReductionParams, count_pm
 from .polynomials import (
     SparsePolynomial,
@@ -216,10 +216,10 @@ def suite_gadget(seed: int) -> SuiteResult:
     for ell in (1, 2, 3):
         part = partition_edges(k2, 1)
         h = substitute_gadget(k2, part, (ell,))
-        neither = vc_bruteforce_bucketed(h, outside=(0, 1))
-        only_u = vc_bruteforce_bucketed(h, inside=(0,), outside=(1,))
-        only_v = vc_bruteforce_bucketed(h, inside=(1,), outside=(0,))
-        both = vc_bruteforce_bucketed(h, inside=(0, 1))
+        neither = vc_bruteforce(h, outside=(0, 1))
+        only_u = vc_bruteforce(h, inside=(0,), outside=(1,))
+        only_v = vc_bruteforce(h, inside=(1,), outside=(0,))
+        both = vc_bruteforce(h, inside=(0, 1))
         want = gadget_counts(ell)
         res.check(
             (neither, only_u, both) == want and only_v == want[1],

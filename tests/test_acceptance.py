@@ -35,7 +35,6 @@ from polycount import (
     substitute_gadget,
     vc_bipartite,
     vc_bruteforce,
-    vc_bruteforce_bucketed,
 )
 from polycount.bis_reduction import conditioned_vc, feasible_type
 from polycount.cli import main as cli_main
@@ -83,10 +82,10 @@ def test_criterion_1_gadget_counts():
     part = partition_edges(k2, 1)
     for ell in (1, 2, 3):
         h = substitute_gadget(k2, part, (ell,))
-        neither = vc_bruteforce_bucketed(h, outside=(0, 1))
-        one_u = vc_bruteforce_bucketed(h, inside=(0,), outside=(1,))
-        one_v = vc_bruteforce_bucketed(h, inside=(1,), outside=(0,))
-        both = vc_bruteforce_bucketed(h, inside=(0, 1))
+        neither = vc_bruteforce(h, outside=(0, 1))
+        one_u = vc_bruteforce(h, inside=(0,), outside=(1,))
+        one_v = vc_bruteforce(h, inside=(1,), outside=(0,))
+        both = vc_bruteforce(h, inside=(0, 1))
         assert (neither, one_u, both) == gadget_counts(ell) == (2**ell, 3**ell, 5**ell)
         assert one_v == one_u
     crit.done()

@@ -17,7 +17,6 @@ from polycount import (
     type_of,
     vc_bipartite,
     vc_bruteforce,
-    vc_bruteforce_bucketed,
 )
 from polycount import bis_reduction
 from polycount.bis_reduction import covers_all_edges, feasible_type
@@ -36,10 +35,10 @@ def test_gadget_counts_brute_force():
     part = partition_edges(k2, 1)
     for ell in (1, 2, 3):
         h = substitute_gadget(k2, part, (ell,))
-        neither = vc_bruteforce_bucketed(h, outside=(0, 1))
-        one_u = vc_bruteforce_bucketed(h, inside=(0,), outside=(1,))
-        one_v = vc_bruteforce_bucketed(h, inside=(1,), outside=(0,))
-        both = vc_bruteforce_bucketed(h, inside=(0, 1))
+        neither = vc_bruteforce(h, outside=(0, 1))
+        one_u = vc_bruteforce(h, inside=(0,), outside=(1,))
+        one_v = vc_bruteforce(h, inside=(1,), outside=(0,))
+        both = vc_bruteforce(h, inside=(0, 1))
         assert (neither, one_u, both) == gadget_counts(ell)
         assert one_v == one_u
 
@@ -210,9 +209,10 @@ def test_count_is_rejects_nonzero_residual(monkeypatch):
         count_is(named_graph("k2"), 1, oracle="conditioned")
 
 
-def test_count_is_grid_budget():
+def test_count_is_grid_budget(monkeypatch):
+    monkeypatch.setattr(bis_reduction, "GRID_GUARD", 100)
     with pytest.raises(BudgetError):
-        count_is(named_graph("c4"), 1, grid_budget=100)
+        count_is(named_graph("c4"), 1)
 
 
 def test_count_is_edgeless_graph():

@@ -6,7 +6,6 @@ import pytest
 from polycount import (
     BooleanRelation,
     CspInstance,
-    OracleBudget,
     classify,
     count_affine,
     count_bruteforce,
@@ -199,13 +198,16 @@ def test_instance_validation():
         CspInstance(2, (OR2,), ((3, (0, 1)),))
 
 
-def test_bruteforce_budget():
+def test_bruteforce_budget(monkeypatch):
+    from polycount import csp
     from polycount.errors import BudgetError
 
     inst = CspInstance(25, (), ())
     with pytest.raises(BudgetError):
         count_bruteforce(inst)
     small = CspInstance(4, (), ())
-    assert count_bruteforce(small, OracleBudget(csp_vars=4)) == 16
+    monkeypatch.setattr(csp, "CSP_VAR_GUARD", 4)
+    assert count_bruteforce(small) == 16
+    monkeypatch.setattr(csp, "CSP_VAR_GUARD", 3)
     with pytest.raises(BudgetError):
-        count_bruteforce(small, OracleBudget(csp_vars=3))
+        count_bruteforce(small)

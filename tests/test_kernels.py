@@ -91,6 +91,13 @@ def test_size_guard():
         kernels.count_independent_sets(31, [0] * 31)
 
 
+def test_profile_table_cap():
+    # 25 edges with distinct labels need 2^25 profile cells, over the 2^24 cap;
+    # the refusal comes before the table is allocated
+    with pytest.raises(ValueError, match="profile table would need 33554432 cells"):
+        kernels.forest_label_profile(2, [0] * 25, [1] * 25, list(range(25)))
+
+
 def test_known_counts():
     # triangle: adj masks
     adj = [0b110, 0b101, 0b011]

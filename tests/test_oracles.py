@@ -7,7 +7,6 @@ from polycount import (
     BudgetError,
     Edge,
     Multigraph,
-    OracleBudget,
     forest_poly_bruteforce,
     forests_bruteforce,
     is_bruteforce,
@@ -15,9 +14,8 @@ from polycount import (
     pm_bruteforce,
     vc_bipartite,
     vc_bruteforce,
-    vc_bruteforce_bucketed,
 )
-from polycount import oracles
+from polycount import forest, oracles
 from polycount.verify import random_simple_graph
 
 
@@ -71,8 +69,8 @@ def test_bucketed_vc_partitions_total():
     g = named_graph("c4")
     total = vc_bruteforce(g)
     split = (
-        vc_bruteforce_bucketed(g, outside=(0,))
-        + vc_bruteforce_bucketed(g, inside=(0,))
+        vc_bruteforce(g, outside=(0,))
+        + vc_bruteforce(g, inside=(0,))
     )
     assert split == total
 
@@ -85,19 +83,29 @@ def test_bucketed_vc_rejects_stray_vertices(monkeypatch):
     k2 = named_graph("k2")
     for constraint in ({"inside": (5,)}, {"outside": (7,)}, {"inside": (-1,)}, {"outside": (-1,)}):
         with pytest.raises(ValueError, match="outside 0..1"):
-            vc_bruteforce_bucketed(k2, **constraint)
+            vc_bruteforce(k2, **constraint)
 
 
-def test_budgets_fail_loudly():
+def test_vc_bruteforce_rejects_conflicting_constraints(monkeypatch):
+    def scan(*args):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(oracles.kernels, "count_vertex_covers", scan)
+    with pytest.raises(ValueError, match="both required and forbidden"):
+        vc_bruteforce(named_graph("k3"), inside=(0, 1), outside=(1,))
+
+
+def test_budgets_fail_loudly(monkeypatch):
     big = Multigraph(26, [])
     with pytest.raises(BudgetError):
         is_bruteforce(big)
     with pytest.raises(BudgetError):
         pm_bruteforce(Multigraph(18, [], simple=True))
-    tight = OracleBudget(pm_vertices=2, subset_vertices=2, forest_edges=1, csp_vars=2)
+    monkeypatch.setattr(forest, "ENUMERATION_GUARD", 1)
+    monkeypatch.setattr(oracles, "PM_VERTEX_GUARD", 2)
     with pytest.raises(BudgetError):
-        forests_bruteforce(named_graph("k3"), tight)
-    assert pm_bruteforce(named_graph("k2"), tight) == 1
+        forests_bruteforce(named_graph("k3"))
+    assert pm_bruteforce(named_graph("k2")) == 1
 
 
 def test_multigraph_forests_count_copies():
@@ -129,8 +137,9 @@ def test_vc_bipartite_matches_bruteforce(g):
     assert vc_bipartite(g) == vc_bruteforce(g)
 
 
-def test_vc_bipartite_budget_is_on_the_smaller_side():
-    assert vc_bipartite(named_graph("k33"), OracleBudget(subset_vertices=3)) == 15
+def test_vc_bipartite_budget_is_on_the_smaller_side(monkeypatch):
+    monkeypatch.setattr(oracles, "SUBSET_GUARD", 3)
+    assert vc_bipartite(named_graph("k33")) == 15
     star = Multigraph(30, [Edge(0, v) for v in range(1, 30)])
     assert vc_bipartite(star) == 2**29 + 1
 
@@ -142,5 +151,6 @@ def test_vc_bipartite_rejects_before_enumerating(monkeypatch):
     monkeypatch.setattr(oracles, "_side_cover_sum", enumerate_sides)
     with pytest.raises(ValueError):
         vc_bipartite(named_graph("k3"))
+    monkeypatch.setattr(oracles, "SUBSET_GUARD", 2)
     with pytest.raises(BudgetError):
-        vc_bipartite(named_graph("k33"), OracleBudget(subset_vertices=2))
+        vc_bipartite(named_graph("k33"))

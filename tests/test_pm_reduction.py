@@ -17,6 +17,7 @@ from polycount import (
     pm_bruteforce,
     simulate_oracle_via_stretch,
 )
+from polycount import pm_reduction
 from polycount.errors import BudgetError
 from polycount.forest import bruteforce_simple_oracle, sp_simple_oracle
 from polycount.pm_reduction import (
@@ -196,10 +197,11 @@ def test_count_pm_disconnected_even_graph():
     assert count_pm(lonely, PmReductionParams(C=2, x=F(2))).count == 0 == pm_bruteforce(lonely)
 
 
-def test_count_pm_query_budget():
+def test_count_pm_query_budget(monkeypatch):
     g = named_graph("petersen")
+    monkeypatch.setattr(pm_reduction, "QUERY_GUARD", 100)
     with pytest.raises(BudgetError):
-        count_pm(g, PmReductionParams(C=1, x=F(2)), query_budget=100)
+        count_pm(g, PmReductionParams(C=1, x=F(2)))
 
 
 def test_transcript_replay():

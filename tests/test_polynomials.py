@@ -206,6 +206,23 @@ def test_kronecker_roundtrip_b3():
     assert kronecker_apply(factor, 3, x) == rhs
 
 
+@pytest.mark.parametrize("d, b", [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2)])
+def test_kronecker_apply_matches_dense_kron_power(d, b):
+    # the dense b-fold Kronecker power of the factor is the reference: its
+    # rows and columns run over (ell_1..ell_b) and (tau_1..tau_b) in
+    # lexicographic order, the first mode most significant
+    rng = random.Random(10 * d + b)
+    factor = VandermondeFactor(d)
+    keys = list(product(factor.taus, repeat=b))
+    x = {key: rng.randint(-9, 9) for key in keys}
+    dense = [[1]]
+    for _ in range(b):
+        dense = kron(dense, factor.matrix())
+    rows = product(range(1, factor.size + 1), repeat=b)
+    want = {ells: sum(a * x[key] for a, key in zip(row, keys)) for ells, row in zip(rows, dense)}
+    assert kronecker_apply(factor, b, x) == want
+
+
 def test_kronecker_system_requires_total_rhs():
     factor = VandermondeFactor(1)
     with pytest.raises(ValueError):

@@ -11,11 +11,15 @@ run per checkout and workload, on seed 1, gives the per-layer counts.
 
 The record holds, per workload and end-to-end metric, both sides' values,
 medians and quartiles, the number of pairs the change won (all four
-metrics are better when lower) and whether the change's median stays within
+metrics are better when lower), whether the change's median stays within
 the metric's BENCHMARK.json bound of the parent's (at most parent median *
-(1 + bound)), plus both commits, the Python version and
-`kernels.BACKEND` as the runs reported them.  Numbers are integers or
-decimal strings, never floats.  Standard library only.
+(1 + bound)), and whether the comparison is unresolved: the parent's own
+quartile spread is wider than the bound (parent IQR > bound * parent
+median) and not every change run beats every parent run, so the runs
+cannot tell a change within the bound from one outside it.  Also recorded:
+both commits, the Python version and `kernels.BACKEND` as the runs reported
+them.  Numbers are integers or decimal strings, never floats.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -73,12 +77,14 @@ def spread(values: list[float]) -> dict:
 
 def compare(pairs: list[dict], bounds: dict[str, float]) -> dict:
     """Per metric: both sides' values and spreads, the pairs the change won,
-    and whether the change's median is within the metric's bound."""
+    whether the change's median is within the metric's bound, and whether
+    the parent's spread is too wide for that bound to be told."""
     out = {}
     for metric in END_TO_END:
         values = {side: [p[side]["metrics"][metric]["value"] for p in pairs] for side in SIDES}
         parent_q1, _, parent_q3 = quantiles(values["parent"], n=4)
         parent_median, change_median = median(values["parent"]), median(values["change"])
+        every_change_run_better = max(values["change"]) < min(values["parent"])
         out[metric] = {
             **{side: dict(spread(values[side]), values=[decimal(v) for v in values[side]]) for side in SIDES},
             "pairs_won": sum(c < p for p, c in zip(values["parent"], values["change"])),
@@ -86,6 +92,7 @@ def compare(pairs: list[dict], bounds: dict[str, float]) -> dict:
             "median_gain_exceeds_parent_iqr": parent_median - change_median > parent_q3 - parent_q1,
             "bound": decimal(bounds[metric]),
             "within_bound": change_median <= parent_median * (1 + bounds[metric]),
+            "unresolved": parent_q3 - parent_q1 > bounds[metric] * parent_median and not every_change_run_better,
         }
     return out
 
