@@ -112,6 +112,15 @@ class BisRunResult:
     transcript: OracleTranscript
 
 
+def _bipartite_gadget(g: Multigraph, part: BlockPartition, ells: Sequence[int]) -> Multigraph:
+    """The gadget graph of one query; ValueError unless it is bipartite, the
+    only kind of graph the reduction may ask the oracle about."""
+    h = substitute_gadget(g, part, ells)
+    if h.bipartition() is None:
+        raise ValueError(f"gadget graph for folds {list(ells)} is not bipartite")
+    return h
+
+
 def _resolve_oracle(
     oracle: Union[str, BipartiteOracle],
     g: Multigraph,
@@ -120,17 +129,19 @@ def _resolve_oracle(
 ) -> Callable[[Sequence[int], int], tuple[str, int]]:
     """A function of (ells, gadget vertex count) that answers the query and
     names the oracle that did.  Only the oracles that read the gadget graph
-    build it.  The brute oracle checks its largest gadget, max_fold folds in
-    every block, against oracles.SUBSET_GUARD before any query runs."""
+    build it; the custom and brute oracles are handed it only once it is
+    checked bipartite, as vc_bipartite checks it for auto.  The brute oracle
+    checks its largest gadget, max_fold folds in every block, against
+    oracles.SUBSET_GUARD before any query runs."""
     if callable(oracle):
-        return lambda ells, n: ("custom", oracle(substitute_gadget(g, part, ells)))
+        return lambda ells, n: ("custom", oracle(_bipartite_gadget(g, part, ells)))
     if oracle == "brute":
         largest, _ = gadget_size(g, part, (max_fold,) * part.b)
         if largest > oracles.SUBSET_GUARD:
             raise BudgetError(
                 f"largest gadget has {largest} vertices, exceeding the subset budget of {oracles.SUBSET_GUARD}"
             )
-        return lambda ells, n: ("brute", vc_bruteforce(substitute_gadget(g, part, ells)))
+        return lambda ells, n: ("brute", vc_bruteforce(_bipartite_gadget(g, part, ells)))
     if oracle == "conditioned":
         return lambda ells, n: ("conditioned", conditioned_vc(g, part, ells))
     if oracle == "auto":

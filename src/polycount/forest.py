@@ -17,6 +17,7 @@ from .polynomials import Rat, SparsePolynomial
 
 ENUMERATION_GUARD = 22  # edges counted with multiplicity; ~4M subsets
 CORE_VERTEX_GUARD = 16  # vertices per component of the forest_poly_sp core, whose DP is O(3^n)
+SPARSE_CORE_DEGREE = 4  # average degree up to which a core component splits on an edge, not the DP
 
 Weight = Union[Rat, str]  # a rational, or a symbol name
 # One weight per edge record: a list, or a dict keyed 0..m-1.
@@ -168,31 +169,63 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     prefactor (S - A, B).  Nothing is reduced by a gcd until the hand-off,
     which builds one Fraction for the prefactor and one per core edge.
 
-    Every vertex left then has degree 0 or at least 3.  That core goes to
-    vertex_core_value, the integer vertex-subset DP with Bareiss
-    determinants, whose connected components must each fit CORE_VERTEX_GUARD
-    vertices, unless the prefactor is already zero, which is then the
-    answer.  Enumeration (forest_value_bruteforce) is only the independent
-    check of this evaluator.
+    Every vertex left then has degree 0 or at least 3.  Unless the prefactor
+    is already zero, which is then the answer, each connected component of
+    that core must fit CORE_VERTEX_GUARD vertices.  A sparse component, of
+    average degree at most SPARSE_CORE_DEGREE, splits on its edge e = uv of
+    largest degree sum by deletion-contraction, F(G) = F(G - e) +
+    w_e * F(G / e) (contraction adds the bundles of u and v into one and
+    drops the loop), and each half goes back through the same reducer:
+    deleting e leaves u and v with degree 2 or more, for the chain rule to
+    collapse.  The other components go, all together, to vertex_core_value,
+    the integer vertex-subset DP with Bareiss determinants.  Enumeration
+    (forest_value_bruteforce) is only the independent check of this
+    evaluator.
     """
     adj: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n)]
-
-    def join(u: int, v: int, a: int, b: int) -> None:
-        old = adj[u].get(v)
-        if old is not None:
-            c, d = old
-            a, b = a * d + c * b, b * d
-        if a:
-            adj[u][v] = adj[v][u] = (a, b)
-        elif old is not None:
-            del adj[u][v], adj[v][u]
-
     for e, w in zip(g.edges, _weight_list(g, weights)):
         if not isinstance(w, (int, Fraction)):
             w = Fraction(w)  # a symbol name raises ValueError
-        join(e.u, e.v, e.mult * w.numerator, w.denominator)
+        _join(adj, e.u, e.v, e.mult * w.numerator, w.denominator)
+    return _reduce(adj, range(g.n))
+
+
+# Adjacency maps by vertex: a list over 0..n-1, or a dict over one branch's
+# vertices.  adj[u][v] = adj[v][u] = (a, b) is the bundle of weight a/b.
+Adjacency = Union[list[dict[int, tuple[int, int]]], dict[int, dict[int, tuple[int, int]]]]
+
+
+def _join(adj: Adjacency, u: int, v: int, a: int, b: int) -> None:
+    """Add the weight a/b into the bundle between u and v; a bundle that
+    sums to zero is dropped."""
+    old = adj[u].get(v)
+    if old is not None:
+        c, d = old
+        a, b = a * d + c * b, b * d
+    if a:
+        adj[u][v] = adj[v][u] = (a, b)
+    elif old is not None:
+        del adj[u][v], adj[v][u]
+
+
+def _merge(adj: Adjacency, u: int, v: int) -> list[int]:
+    """Merge v into u: the bundle between them, now a loop, drops out and
+    v's other bundles add into u's.  Returns v's former neighbours."""
+    adj[u].pop(v, None)
+    adj[v].pop(u, None)
+    moved = list(adj[v])
+    for x, (a, b) in adj[v].items():
+        del adj[x][v]
+        _join(adj, u, x, a, b)
+    adj[v].clear()
+    return moved
+
+
+def _reduce(adj: Adjacency, vertices: Sequence[int]) -> Fraction:
+    """The forest sum of the graph adj on the given vertices, by the
+    reduction rules and core hand-off of forest_poly_sp.  Consumes adj."""
     pre_num = pre_den = 1  # the prefactor pre_num / pre_den
-    stack = [v for v in range(g.n) if len(adj[v]) <= 2]
+    stack = [v for v in vertices if len(adj[v]) <= 2]
     while stack:
         v = stack.pop()
         # degrees never grow, so a vertex pushed whenever it loses an edge is
@@ -218,29 +251,45 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
             if left == right or factor:
                 pre_num *= factor
                 if left != right:
-                    join(left, right, prod_a, factor)
+                    _join(adj, left, right, prod_a, factor)
             else:
                 # only forests that use the whole chain are left: its ends
                 # merge, and a bundle between them, now a loop, drops out
                 pre_num *= prod_a
-                adj[left].pop(right, None)
-                adj[right].pop(left, None)
-                for x, (a, b) in adj[right].items():
-                    del adj[x][right]
-                    join(left, x, a, b)
-                    stack.append(x)
-                adj[right].clear()
+                stack += _merge(adj, left, right)
             stack += (left, right)
     prefactor = Fraction(pre_num, pre_den)
     if pre_num == 0:
         return prefactor
-    core_edges = [(u, v, Fraction(*w)) for u in range(g.n) for v, w in sorted(adj[u].items()) if u < v]
-    if not core_edges:
-        return prefactor
-    return prefactor * vertex_core_value(core_edges)
+    core = {v: adj[v] for v in vertices if adj[v]}
+    dense = set()
+    for comp in _core_components(core):
+        if sum(len(core[v]) for v in comp) <= SPARSE_CORE_DEGREE * len(comp):
+            prefactor *= _delete_contract(core, comp)
+        else:
+            dense.update(comp)
+    if dense:
+        core_edges = [(u, v, Fraction(*w)) for u in core if u in dense for v, w in sorted(core[u].items()) if u < v]
+        prefactor *= vertex_core_value(core_edges)
+    return prefactor
 
 
-def _chain_through(adj: list[dict[int, tuple[int, int]]], v: int) -> list[int]:
+def _delete_contract(core: Adjacency, comp: list[int]) -> Fraction:
+    """F(G) = F(G - e) + w_e * F(G / e) on the connected component comp of
+    core, for its edge e = uv of largest degree sum (the first in sorted
+    order on ties), each half by _reduce.  Consumes the component."""
+    u, v = max(
+        sorted((x, y) for x in comp for y in core[x] if x < y),
+        key=lambda e: len(core[e[0]]) + len(core[e[1]]),
+    )
+    a, b = core[u][v]
+    deletion = {x: dict(core[x]) for x in comp}
+    del deletion[u][v], deletion[v][u]
+    _merge(core, u, v)
+    return _reduce(deletion, comp) + Fraction(a, b) * _reduce(core, comp)
+
+
+def _chain_through(adj: Adjacency, v: int) -> list[int]:
     """Vertices of the maximal chain of degree-2 vertices through v, from one
     end to the other; both ends are v when the chain is a whole cycle."""
     halves = []
@@ -283,19 +332,16 @@ def vertex_core_value(edges: Sequence[tuple[int, int, Fraction]]) -> Fraction:
     nbrs: dict[int, dict[int, int]] = {}
     for u, v, w in edges:
         nbrs.setdefault(u, {})[v] = nbrs.setdefault(v, {})[u] = w.numerator * (den // w.denominator)
-    comps = _components(nbrs)
-    largest = max(map(len, comps), default=0)
-    if largest > CORE_VERTEX_GUARD:
-        raise BudgetError(f"core component of {largest} vertices exceeds the vertex guard of {CORE_VERTEX_GUARD}")
     numerator = 1
-    for comp in comps:
+    for comp in _core_components(nbrs):
         index = {v: i for i, v in enumerate(comp)}
         numerator *= _partition_sum([{index[u]: a for u, a in nbrs[v].items()} for v in comp], den)
     return Fraction(numerator, den ** len(nbrs))
 
 
-def _components(nbrs: Mapping[int, Mapping[int, int]]) -> list[list[int]]:
-    """Vertex lists of the connected components, each in increasing order."""
+def _core_components(nbrs: Mapping[int, Mapping[int, object]]) -> list[list[int]]:
+    """Vertex lists of the connected components, each in increasing order;
+    BudgetError if one exceeds CORE_VERTEX_GUARD vertices."""
     seen: set[int] = set()
     comps = []
     for root in sorted(nbrs):
@@ -311,6 +357,9 @@ def _components(nbrs: Mapping[int, Mapping[int, int]]) -> list[list[int]]:
                     seen.add(u)
                     todo.append(u)
         comps.append(sorted(comp))
+    largest = max(map(len, comps), default=0)
+    if largest > CORE_VERTEX_GUARD:
+        raise BudgetError(f"core component of {largest} vertices exceeds the vertex guard of {CORE_VERTEX_GUARD}")
     return comps
 
 

@@ -45,9 +45,22 @@ def test_hooks_see_the_forest_core(monkeypatch):
 
     tracer = spans.Tracer()
     with tracer.installed(modules):
-        # the series-parallel evaluator hands its core to the vertex-subset
-        # DP, which the hooks do not see
+        # the series-parallel evaluator splits the sparse K4 core on one edge
+        # and reduces both halves itself, unseen by the hooks
         assert forest.forest_poly_sp(k4, [Fraction(1)] * 6) == 38
     metrics = spans.layer_metrics(tracer.spans)
     assert metrics["forest.sp_calls"] == 1
     assert metrics["forest.core_calls"] == metrics["kernels.forests_enumerated"] == 0
+
+
+def test_hooks_count_one_sp_call_per_evaluation(monkeypatch):
+    # Petersen's core splits into many branches; they recurse below the
+    # hooked name, so the trace counts one evaluation
+    spans, modules = _load_spans(monkeypatch)
+    forest = modules["forest"]
+    tracer = spans.Tracer()
+    with tracer.installed(modules):
+        assert forest.tutte_y1(named_graph("petersen"), Fraction(2)) == 22292
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["forest.sp_calls"] == 1
+    assert metrics["forest.core_calls"] == 0

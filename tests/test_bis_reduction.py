@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from polycount import (
+    BlockPartition,
     BudgetError,
     Edge,
     Multigraph,
@@ -67,6 +68,12 @@ def test_conditioned_vc_examples():
     assert conditioned_vc(k2, part, (2,)) == 47  # 4 + 9 + 9 + 25
     h = substitute_gadget(k2, part, (1,))
     assert vc_bruteforce(h) == 13
+
+
+def test_conditioned_vc_rejects_a_partition_that_misses_an_edge():
+    p3 = named_graph("p3")
+    with pytest.raises(ValueError, match="do not cover"):
+        conditioned_vc(p3, BlockPartition(((0,),), 1), (1,))
 
 
 def test_conditioned_vc_guard():
@@ -172,6 +179,26 @@ def test_count_is_brute_oracle_budget(monkeypatch):
     with pytest.raises(BudgetError):
         count_is(named_graph("k2"), 1, oracle="brute")
     assert calls == []
+
+
+@pytest.mark.parametrize("oracle", ["brute", "custom"])
+def test_count_is_rejects_a_non_bipartite_gadget(monkeypatch, oracle):
+    # the edgeless graph on 3 vertices asks one query, about itself; a
+    # gadget builder that closes a triangle must not reach the oracle
+    asked = []
+
+    def triangle(g, part, ells):
+        return Multigraph(g.n, [Edge(0, 1), Edge(1, 2), Edge(0, 2)])
+
+    def custom(h):
+        asked.append(h)
+        return 0
+
+    monkeypatch.setattr(bis_reduction, "substitute_gadget", triangle)
+    monkeypatch.setattr(bis_reduction, "vc_bruteforce", custom)
+    with pytest.raises(ValueError, match=r"gadget graph for folds \[\] is not bipartite"):
+        count_is(Multigraph(3, []), 1, oracle=custom if oracle == "custom" else oracle)
+    assert asked == []
 
 
 # K2 in one block: the census is {(1,0,0): 1, (0,1,0): 2, (0,0,1): 1}, and a

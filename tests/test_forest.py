@@ -11,8 +11,10 @@ from polycount import (
     Edge,
     Multigraph,
     SparsePolynomial,
+    PmReductionParams,
     add_apex,
     apex_rhs,
+    count_pm,
     forest_poly_bruteforce,
     forest_poly_sp,
     forest_value_bruteforce,
@@ -171,6 +173,17 @@ def test_forest_sp_matches_enumeration_on_random_multigraphs(case):
     assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
 
 
+@settings(max_examples=300, deadline=None)
+@given(weighted_multigraphs())
+def test_forest_sp_dp_matches_enumeration_on_random_multigraphs(case):
+    # these cores are nearly all sparse enough to split; with splitting off,
+    # every one of them goes to the vertex-subset DP instead
+    g, weights = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest, "SPARSE_CORE_DEGREE", 0)
+        assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+
+
 K4_ON_0456 = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
 
 
@@ -243,18 +256,38 @@ def test_forest_sp_doubly_stretched_k4():
     assert forest_poly_sp(twice, [w for w in per_once for _ in range(3)]) == want
 
 
-def _record_cores(monkeypatch):
+def _record_calls(monkeypatch, name, summary):
+    """Wrap forest.<name> so that each call records summary(*args) before it
+    runs; return the records."""
+    records = []
+    run = getattr(forest, name)
+
+    def record(*args):
+        records.append(summary(*args))
+        return run(*args)
+
+    monkeypatch.setattr(forest, name, record)
+    return records
+
+
+def _record_dp(monkeypatch):
     """Record the edge list of each core that forest_poly_sp hands to the
     vertex-subset DP; return the list."""
-    cores = []
-    core_value = forest.vertex_core_value
+    return _record_calls(monkeypatch, "vertex_core_value", lambda edges: edges)
 
-    def record(edges):
-        cores.append(edges)
-        return core_value(edges)
 
-    monkeypatch.setattr(forest, "vertex_core_value", record)
-    return cores
+def _record_cores(monkeypatch):
+    """_record_dp with no component splitting on an edge first."""
+    monkeypatch.setattr(forest, "SPARSE_CORE_DEGREE", 0)
+    return _record_dp(monkeypatch)
+
+
+def _record_splits(monkeypatch):
+    """Record (vertices, edges) of each core component that forest_poly_sp
+    splits on an edge; return the list."""
+    return _record_calls(
+        monkeypatch, "_delete_contract", lambda core, comp: (len(comp), sum(len(core[v]) for v in comp) // 2)
+    )
 
 
 def _sp_core(monkeypatch, g, t):
@@ -375,9 +408,73 @@ def test_forest_sp_core_skips_isolated_vertices(monkeypatch):
     assert forest.vertex_core_value([(u, v, F(1)) for u, v in K4_ON_0456]) == 38
 
 
-def test_forest_sp_core_common_denominator_and_negative_weights():
+def _random_cubic(rng, n, extra=0):
+    """A random simple 3-regular graph on n vertices (the pairing model, drawn
+    again until simple) plus extra further random edges."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])}
+        if len(pairs) == 3 * n // 2 and all(u != v for u, v in pairs):
+            break
+    while len(pairs) < 3 * n // 2 + extra:
+        pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Multigraph(n, [Edge(u, v) for u, v in sorted(pairs)])
+
+
+MIXED_WEIGHTS = [F(1), F(-1, 2), F(2, 3), F(-2), F(3), F(-1, 3)]
+
+
+def test_forest_sp_splits_sparse_cores(monkeypatch):
+    # Petersen and cubic graphs are 3-regular, and contracting an edge of a
+    # graph with 2m <= 3n keeps 2m <= 4n, so no branch reaches the DP
+    splits = _record_splits(monkeypatch)
+    cores = _record_dp(monkeypatch)
+    rng = random.Random(5)
+    graphs = [named_graph("petersen")]
+    graphs += [_random_cubic(rng, n, extra) for n, extra in ((10, 0), (10, 4), (12, 0), (12, 4), (14, 0))]
+    for g in graphs:
+        assert g.m <= forest.ENUMERATION_GUARD
+        del splits[:]
+        weights = [rng.choice(MIXED_WEIGHTS) for _ in range(g.m)]
+        assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+        assert splits[0] == (g.n, g.m)
+        assert cores == []
+    del splits[:]
+    assert tutte_y1(named_graph("petersen"), F(2)) == forest_value_bruteforce(named_graph("petersen"), [F(1)] * 15)
+    assert splits[0] == (10, 15)
+
+
+def test_forest_sp_contraction_drops_a_cancelling_bundle(monkeypatch):
+    # K4 is sparse (2m = 12 <= 16) and splits on its first edge 0-1; merging 1
+    # into 0 adds the bundles 0-2 at 2/3 and 1-2 at -2/3 to zero
+    reduced = _record_calls(monkeypatch, "_reduce", lambda adj, vertices: {v: dict(adj[v]) for v in vertices})
+    g = Multigraph(4, _complete(4))  # records 0-1, 0-2, 0-3, 1-2, 1-3, 2-3
+    weights = [F(5, 7), F(2, 3), F(-3), F(-2, 3), F(1, 2), F(-1, 2)]
+    assert forest_poly_sp(g, weights) == forest_value_bruteforce(g, weights)
+    _, deletion, contraction = reduced  # the whole graph, then each half
+    assert sorted(deletion[0]) == [2, 3] and sorted(deletion[1]) == [2, 3]
+    assert contraction[0] == {3: (-5, 2)} and contraction[1] == {}
+
+
+def test_forest_sp_dense_cores_never_split(monkeypatch):
+    splits = _record_splits(monkeypatch)
+    cores = _record_dp(monkeypatch)
+    assert tutte_y1(Multigraph(12, _complete(12)), F(2)) == 123_373_203_208
+    assert splits == [] and [len(core) for core in cores] == [66]
+    # K3,3 plus the apex (7 vertices, 15 edges, 2m = 30 > 28) is the core of
+    # the query that uses every edge; it reaches the DP whole
+    del cores[:]
+    assert count_pm(named_graph("k33"), PmReductionParams(C=9)).count == 6
+    assert (7, 15) not in splits
+    whole = [core for core in cores if len(core) == 15]
+    assert whole and all(len({v for u, w, _ in core for v in (u, w)}) == 7 for core in whole)
+
+
+def test_forest_sp_core_common_denominator_and_negative_weights(monkeypatch):
     # K5 leaves nothing to reduce; the weights need D = 2*3*5*7 = 210, and
     # vertex 1's weights sum to zero, so Bareiss must look past a zero pivot
+    cores = _record_cores(monkeypatch)
     g = Multigraph(5, _complete(5))
     weights = {}
     for i, e in enumerate(g.edges):
@@ -387,6 +484,7 @@ def test_forest_sp_core_common_denominator_and_negative_weights():
     value = forest_poly_sp(g, weights)
     assert value == forest_value_bruteforce(g, weights)
     assert value.denominator > 1
+    assert [len(core) for core in cores] == [10]
 
 
 def _cofactor_det(rows):
@@ -415,6 +513,10 @@ def test_stretched_edge_weight():
     assert stretched_edge_weight(F(-1, 2), 3) == F(-1, 2)
     with pytest.raises(ValueError):
         stretched_edge_weight(F(-1, 2), 2)
+    # unchecked, k = -1 would give 1 / (2^-1 - 1) = -2
+    for k in (-1, 0):
+        with pytest.raises(ValueError, match="stretch factor must be >= 1"):
+            stretched_edge_weight(F(1), k)
 
 
 def test_tutte_bridge_examples():
@@ -471,6 +573,12 @@ def test_pm_extraction_examples():
 
     k3 = named_graph("k3")
     assert pm_coefficient_extract(_apex_poly_at_z_minus_one(k3), 3) == (0, True)
+
+
+def test_pm_extraction_rejects_a_non_integer_count():
+    half = SparsePolynomial(("w",), {(0,): F(1), (1,): F(1, 2)})
+    with pytest.raises(ValueError, match="non-integer"):
+        pm_coefficient_extract(half, 2)
 
 
 def test_pm_extraction_random_graphs():

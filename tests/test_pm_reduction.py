@@ -175,6 +175,19 @@ def test_count_pm_query_accounting():
     assert result.query_count == 3**4 == len(result.transcript)
 
 
+def test_count_pm_detects_an_extra_transcript_entry(monkeypatch):
+    interpolate = pm_reduction.block_interpolation
+
+    def one_entry_too_many(gprime, params, oracle, transcript=None):
+        poly = interpolate(gprime, params, oracle, transcript)
+        transcript.record("forest-sum query", {}, F(0), "not a grid point")
+        return poly
+
+    monkeypatch.setattr(pm_reduction, "block_interpolation", one_entry_too_many)
+    with pytest.raises(RuntimeError, match="internal accounting error: 10 queries, expected 9"):
+        count_pm(named_graph("k2"), PmReductionParams(C=2, x=F(2)))
+
+
 def test_count_pm_across_points_and_class_sizes():
     graphs = [
         named_graph("k2"),
