@@ -167,18 +167,20 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     w_i = a_i/b_i, a chain has A = prod(a), B = prod(b), S = prod(a+b); it
     vanishes when S == A, and otherwise becomes the edge (A, S - A) and the
     prefactor (S - A, B).  Nothing is reduced by a gcd until the hand-off,
-    which builds one Fraction for the prefactor and one per core edge.
+    which builds one Fraction for the prefactor and one per edge that it
+    splits on or hands to the DP.
 
     Every vertex left then has degree 0 or at least 3.  Unless the prefactor
     is already zero, which is then the answer, each connected component of
     that core must fit CORE_VERTEX_GUARD vertices.  A sparse component, of
     average degree at most SPARSE_CORE_DEGREE, splits on its edge e = uv of
     largest degree sum by deletion-contraction, F(G) = F(G - e) +
-    w_e * F(G / e) (contraction adds the bundles of u and v into one and
-    drops the loop), and each half goes back through the same reducer:
-    deleting e leaves u and v with degree 2 or more, for the chain rule to
-    collapse.  The other components go, all together, to vertex_core_value,
-    the integer vertex-subset DP with Bareiss determinants.  Enumeration
+    w_e * F(G / e), where G / e merges v into u: their bundles to a common
+    neighbour add into one, and e itself, now a loop, drops out.  Each half
+    goes back through the same reducer; deleting e from a sparse core often
+    leaves u or v of degree 2, for the chain rule to collapse.  The other
+    components go, all together, to vertex_core_value, the integer
+    vertex-subset DP with Bareiss determinants.  Enumeration
     (forest_value_bruteforce) is only the independent check of this
     evaluator.
     """
