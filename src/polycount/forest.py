@@ -192,8 +192,8 @@ def forest_poly_sp(g: Multigraph, weights: Weights) -> Rat:
     return _reduce(adj, range(g.n))
 
 
-# Adjacency maps by vertex: a list over 0..n-1, or a dict over one branch's
-# vertices.  adj[u][v] = adj[v][u] = (a, b) is the bundle of weight a/b.
+# Adjacency maps by vertex: a list over 0..n-1, or a dict over the vertices
+# of a core.  adj[u][v] = adj[v][u] = (a, b) is the bundle of weight a/b.
 Adjacency = Union[list[dict[int, tuple[int, int]]], dict[int, dict[int, tuple[int, int]]]]
 
 
@@ -264,15 +264,14 @@ def _reduce(adj: Adjacency, vertices: Sequence[int]) -> Fraction:
     if pre_num == 0:
         return prefactor
     core = {v: adj[v] for v in vertices if adj[v]}
-    dense = set()
+    dense_edges = []
     for comp in _core_components(core):
         if sum(len(core[v]) for v in comp) <= SPARSE_CORE_DEGREE * len(comp):
             prefactor *= _delete_contract(core, comp)
         else:
-            dense.update(comp)
-    if dense:
-        core_edges = [(u, v, Fraction(*w)) for u in core if u in dense for v, w in sorted(core[u].items()) if u < v]
-        prefactor *= vertex_core_value(core_edges)
+            dense_edges += [(u, v, Fraction(*w)) for u in comp for v, w in sorted(core[u].items()) if u < v]
+    if dense_edges:
+        prefactor *= vertex_core_value(dense_edges)
     return prefactor
 
 
