@@ -18,6 +18,7 @@ from typing import Callable, Sequence, Union
 from . import oracles
 from .errors import BudgetError
 from .graphs import BlockPartition, Multigraph, gadget_size, partition_edges, substitute_gadget
+# vc_bruteforce is not called here; pipebench/spans.py hooks it at this module
 from .oracles import vc_bipartite, vc_bruteforce
 from .polynomials import KroneckerSystem, VandermondeFactor, kronecker_apply, kronecker_solve
 from .transcripts import OracleTranscript
@@ -125,23 +126,13 @@ def _resolve_oracle(
     oracle: Union[str, BipartiteOracle],
     g: Multigraph,
     part: BlockPartition,
-    max_fold: int,
 ) -> Callable[[Sequence[int], int], tuple[str, int]]:
     """A function of (ells, gadget vertex count) that answers the query and
     names the oracle that did.  Only the oracles that read the gadget graph
-    build it; the custom and brute oracles are handed it only once it is
-    checked bipartite, as vc_bipartite checks it for auto.  The brute oracle
-    checks its largest gadget, max_fold folds in every block, against
-    oracles.SUBSET_GUARD before any query runs."""
+    build it; a custom oracle is handed it only once it is checked
+    bipartite, as vc_bipartite checks it for auto."""
     if callable(oracle):
         return lambda ells, n: ("custom", oracle(_bipartite_gadget(g, part, ells)))
-    if oracle == "brute":
-        largest, _ = gadget_size(g, part, (max_fold,) * part.b)
-        if largest > oracles.SUBSET_GUARD:
-            raise BudgetError(
-                f"largest gadget has {largest} vertices, exceeding the subset budget of {oracles.SUBSET_GUARD}"
-            )
-        return lambda ells, n: ("brute", vc_bruteforce(_bipartite_gadget(g, part, ells)))
     if oracle == "conditioned":
         return lambda ells, n: ("conditioned", conditioned_vc(g, part, ells))
     if oracle == "auto":
@@ -152,7 +143,7 @@ def _resolve_oracle(
             return "conditioned", conditioned_vc(g, part, ells)
 
         return auto
-    raise ValueError(f"unknown oracle mode {oracle!r}; use brute, conditioned, or auto")
+    raise ValueError(f"unknown oracle mode {oracle!r}; use auto, conditioned, or a callable")
 
 
 def count_is(
@@ -171,9 +162,9 @@ def count_is(
 
     In "auto" mode a query whose gadget graph has at most
     oracles.SUBSET_GUARD vertices goes to vc_bipartite, a larger one to
-    conditioned_vc.  In "brute" mode the largest gadget is checked against
-    oracles.SUBSET_GUARD before the first query.  Each transcript entry
-    names the oracle that answered.
+    conditioned_vc.  "conditioned" mode sends every query to conditioned_vc,
+    and a callable oracle is handed each gadget graph once it is checked
+    bipartite.  Each transcript entry names the oracle that answered.
     """
     g = g.as_simple()
     part = partition_edges(g, d)
@@ -182,7 +173,7 @@ def count_is(
     n_queries = size**part.b
     if n_queries > GRID_GUARD:
         raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {GRID_GUARD}")
-    run_oracle = _resolve_oracle(oracle, g, part, size)
+    run_oracle = _resolve_oracle(oracle, g, part)
     transcript = OracleTranscript()
     rhs = {}
     for ells in product(range(1, size + 1), repeat=part.b):

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 1 usage error, 2 verification failure, 3 budget exceeded.
+Exit codes: 0 ok, 1 usage error (including any input the library rejects
+with ValueError), 2 verification failure, 3 budget exceeded.
 All reported answers are exact decimal/rational strings; wall times are
 integer milliseconds, so reports never contain floating-point values.
 """
@@ -116,10 +117,7 @@ def cmd_verify(args) -> int:
 def cmd_reduce_pm(args) -> int:
     g = load_graph(args.graph)
     start = time.monotonic()
-    try:
-        params = PmReductionParams(C=args.C, x=parse_rational(args.x), k=args.k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    params = PmReductionParams(C=args.C, x=parse_rational(args.x), k=args.k)
     if g.n > oracles.PM_VERTEX_GUARD:
         # the cross-check would refuse after the whole pipeline had run
         raise BudgetError(f"{g.n} vertices exceeds the matching budget of {oracles.PM_VERTEX_GUARD}")
@@ -202,10 +200,7 @@ def cmd_tutte(args) -> int:
     g = load_graph(args.graph)
     x = parse_rational(args.x)
     start = time.monotonic()
-    try:
-        value = tutte_y1(g, x)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    value = tutte_y1(g, x)
     wall = int((time.monotonic() - start) * 1000)
     report = RunReport(
         command="tutte",
@@ -316,7 +311,7 @@ def build_parser() -> Parser:
     bis = kinds.add_parser("bis", help="independent sets via a bipartite cover oracle")
     bis.add_argument("--graph", required=True)
     bis.add_argument("--d", type=int, required=True, help="edge block size")
-    bis.add_argument("--oracle", choices=["auto", "brute", "conditioned"], default="auto")
+    bis.add_argument("--oracle", choices=["auto", "conditioned"], default="auto")
     bis.add_argument("--transcript", help="write oracle queries as JSON lines")
     bis.set_defaults(fn=cmd_reduce_bis)
 
@@ -351,6 +346,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except ValueError as exc:  # an input the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

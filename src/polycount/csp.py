@@ -9,9 +9,8 @@ constraint-language setting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import kernels
 from .errors import BudgetError
@@ -224,27 +223,14 @@ def classify(gamma: Sequence[BooleanRelation]) -> ClassifyResult:
 # ---------------------------------------------------------------------------
 
 
-def relations_from_json(data: Union[str, dict]) -> list[BooleanRelation]:
-    if isinstance(data, str):
-        data = json.loads(data)
+def relations_from_json(data: dict) -> list[BooleanRelation]:
     return [
         BooleanRelation.from_bitstrings(r["arity"], r["tuples"]) for r in data["relations"]
     ]
 
 
-def instance_from_json(data: Union[str, dict]) -> CspInstance:
-    if isinstance(data, str):
-        data = json.loads(data)
+def instance_from_json(data: dict) -> CspInstance:
     relations = relations_from_json(data)
     constraints = tuple((rid, tuple(scope)) for rid, scope in data["constraints"])
     return CspInstance(data["n"], tuple(relations), constraints)
 
-
-def instance_to_json(inst: CspInstance) -> str:
-    return json.dumps(
-        {
-            "relations": [{"arity": r.arity, "tuples": r.bitstrings()} for r in inst.relations],
-            "n": inst.n,
-            "constraints": [[rid, list(scope)] for rid, scope in inst.constraints],
-        }
-    )

@@ -76,11 +76,6 @@ class Multigraph:
         """Number of edges counted with multiplicity."""
         return sum(e.mult for e in self.edges)
 
-    def is_simple(self) -> bool:
-        """True when no record has multiplicity > 1 and no pair repeats."""
-        pairs = [frozenset((e.u, e.v)) for e in self.edges]
-        return all(e.mult == 1 for e in self.edges) and len(set(pairs)) == len(pairs)
-
     def as_simple(self) -> "Multigraph":
         """Return the same graph with the simple flag set (validates)."""
         if self.simple:

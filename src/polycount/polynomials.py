@@ -79,12 +79,6 @@ class SparsePolynomial:
     def coefficient(self, exps: Sequence[int]) -> Rat:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def degree(self, name: str) -> int:
-        if name not in self.variables:
-            raise ValueError(f"unknown variable {name!r}")
-        pos = self.variables.index(name)
-        return max((exps[pos] for exps in self.terms), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparsePolynomial)
@@ -208,8 +202,9 @@ def grid_interpolate(
     # Flat tensor, row-major with the first variable slowest.
     tensor = [Fraction(values[pt]) for pt in grid_points]
     for mode, lst in enumerate(node_lists):
-        rows = lagrange_coefficient_rows(lst)
-        tensor = _apply_mode(tensor, sizes, mode, rows, transpose=True)
+        # the transposed Lagrange rows are the inverse of the Vandermonde matrix
+        inverse = [list(col) for col in zip(*lagrange_coefficient_rows(lst))]
+        tensor = _apply_mode(tensor, sizes, mode, inverse)
     poly_terms: dict[tuple[int, ...], Rat] = {}
     for flat, coeff in enumerate(tensor):
         if coeff == 0:
@@ -231,13 +226,9 @@ def _apply_mode(
     sizes: Sequence[int],
     mode: int,
     matrix: Sequence[Sequence[Rat]],
-    transpose: bool = False,
 ) -> list[Rat]:
-    """Multiply a flat row-major tensor by a square matrix along one mode.
-
-    With transpose=True computes new[j] = sum_i M[i][j] * old[i] along the
-    mode, which is what coefficient extraction from Lagrange rows needs.
-    """
+    """Multiply a flat row-major tensor by a square matrix along one mode:
+    new[j] = sum_i M[j][i] * old[i] along the mode."""
     n = sizes[mode]
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix does not match mode size")
@@ -255,9 +246,8 @@ def _apply_mode(
             for j in range(n):
                 acc = 0
                 for i in range(n):
-                    coeff = matrix[i][j] if transpose else matrix[j][i]
                     if fiber[i]:
-                        acc += coeff * fiber[i]
+                        acc += matrix[j][i] * fiber[i]
                 out[base_o + j * inner + inn] = acc
     return out
 
@@ -366,11 +356,6 @@ class VandermondeFactor:
     @property
     def bases(self) -> list[int]:
         return [2**t1 * 3**t2 * 5**t3 for t1, t2, t3 in self.taus]
-
-    def entry(self, ell: int, tau_index: int) -> int:
-        if not 1 <= ell <= self.size:
-            raise ValueError(f"row index ell must be in 1..{self.size}")
-        return self.bases[tau_index] ** ell
 
     def matrix(self) -> list[list[int]]:
         bases = self.bases

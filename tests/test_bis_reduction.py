@@ -166,23 +166,12 @@ def test_count_is_custom_oracle():
     assert answered_by(result) == {"custom": 8}
 
 
-def test_count_is_brute_oracle_budget(monkeypatch):
-    # at d = 1 the fold count reaches 8, giving a 26-vertex gadget graph;
-    # the budget is checked on that largest gadget before the first scan
-    calls = []
-
-    def counting_vc_bruteforce(*args):
-        calls.append(args)
-        return vc_bruteforce(*args)
-
-    monkeypatch.setattr(bis_reduction, "vc_bruteforce", counting_vc_bruteforce)
-    with pytest.raises(BudgetError):
+def test_count_is_rejects_an_unknown_oracle_mode():
+    with pytest.raises(ValueError, match="use auto, conditioned, or a callable"):
         count_is(named_graph("k2"), 1, oracle="brute")
-    assert calls == []
 
 
-@pytest.mark.parametrize("oracle", ["brute", "custom"])
-def test_count_is_rejects_a_non_bipartite_gadget(monkeypatch, oracle):
+def test_count_is_rejects_a_non_bipartite_gadget(monkeypatch):
     # the edgeless graph on 3 vertices asks one query, about itself; a
     # gadget builder that closes a triangle must not reach the oracle
     asked = []
@@ -195,9 +184,8 @@ def test_count_is_rejects_a_non_bipartite_gadget(monkeypatch, oracle):
         return 0
 
     monkeypatch.setattr(bis_reduction, "substitute_gadget", triangle)
-    monkeypatch.setattr(bis_reduction, "vc_bruteforce", custom)
     with pytest.raises(ValueError, match=r"gadget graph for folds \[\] is not bipartite"):
-        count_is(Multigraph(3, []), 1, oracle=custom if oracle == "custom" else oracle)
+        count_is(Multigraph(3, []), 1, oracle=custom)
     assert asked == []
 
 
@@ -245,7 +233,7 @@ def test_count_is_grid_budget(monkeypatch):
 def test_count_is_edgeless_graph():
     # no edges means no blocks: one query at the empty fold vector, answered 2^n
     g = Multigraph(3, [])
-    for oracle, name in (("auto", "side-enumeration"), ("conditioned", "conditioned"), ("brute", "brute")):
+    for oracle, name in (("auto", "side-enumeration"), ("conditioned", "conditioned")):
         result = count_is(g, 1, oracle=oracle)
         assert result.count == 8 and result.census == {(): 8}, oracle
         assert answered_by(result) == {name: 1}

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from polycount.cli import main
 
 
@@ -209,6 +211,32 @@ def test_reports_have_no_floats(capsys):
         key, _, value = line.partition(":")
         if key in ("answer", "oracle answer", "queries", "wall-ms"):
             assert "." not in value, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "bis", "--graph", "k2", "--d", "0"),
+        ("reduce", "pm", "--graph", "MULTI", "--C", "2"),
+        ("reduce", "bis", "--graph", "MULTI", "--d", "1"),
+        ("oracle", "pm", "--graph", "MULTI"),
+    ],
+    ids=["bis-d0", "pm-multigraph", "bis-multigraph", "oracle-pm-multigraph"],
+)
+def test_rejected_input_is_usage_error(capsys, tmp_path, argv):
+    # the library raises ValueError; the CLI reports it without a traceback
+    path = tmp_path / "multi.txt"
+    path.write_text("p graph 2 1\ne 0 1 2\n")
+    code, out, err = run(capsys, *(str(path) if a == "MULTI" else a for a in argv))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in out + err
+
+
+def test_reduce_bis_unknown_oracle_mode(capsys):
+    code, _, err = run(capsys, "reduce", "bis", "--graph", "k2", "--d", "1", "--oracle", "brute")
+    assert code == 1
+    assert "invalid choice" in err
 
 
 def test_usage_error_exit_code(capsys):

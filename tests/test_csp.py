@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -21,7 +20,6 @@ from polycount.csp import (
     OR2,
     PARITY3,
     instance_from_json,
-    instance_to_json,
     relation_equations,
     relations_from_json,
 )
@@ -183,9 +181,16 @@ def test_classify():
 
 def test_json_roundtrip():
     inst = CspInstance(3, (OR2, PARITY3), ((0, (0, 1)), (1, (0, 1, 2))))
-    again = instance_from_json(instance_to_json(inst))
-    assert again == inst
-    gamma = relations_from_json(json.dumps({"relations": [{"arity": 2, "tuples": ["01", "10"]}]}))
+    data = {
+        "relations": [
+            {"arity": 2, "tuples": ["01", "10", "11"]},
+            {"arity": 3, "tuples": ["000", "110", "101", "011"]},
+        ],
+        "n": 3,
+        "constraints": [[0, [0, 1]], [1, [0, 1, 2]]],
+    }
+    assert instance_from_json(data) == inst
+    gamma = relations_from_json({"relations": [{"arity": 2, "tuples": ["01", "10"]}]})
     assert gamma == [BooleanRelation.from_bitstrings(2, ["01", "10"])]
 
 

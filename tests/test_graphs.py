@@ -100,14 +100,14 @@ def test_stretch_single_edge():
     g = named_graph("k2")
     s = stretch(g, 3)
     assert s.n == 4 and s.m == 3
-    assert s.is_simple()
+    assert s.simple and Multigraph(s.n, s.edges, simple=True) == s
 
 
 def test_stretch_double_edge_gives_cycle():
     g = Multigraph(2, [Edge(0, 1, 2)])
     s = stretch(g, 2)
     assert s.n == 4 and s.m == 4
-    assert s.is_simple()
+    assert s.simple and Multigraph(s.n, s.edges, simple=True) == s
     # a 4-cycle through the two endpoints
     assert s.component_count() == 1
     assert all(sum(1 for e in s.edges if v in (e.u, e.v)) == 2 for v in range(4))
@@ -124,7 +124,7 @@ def test_stretch_counts():
         s = stretch(g, k)
         assert s.n == g.n + (k - 1) * g.total_mult
         assert s.m == k * g.total_mult
-        assert s.is_simple()
+        assert s.simple and Multigraph(s.n, s.edges, simple=True) == s
 
 
 def test_stretch_rejects_zero():

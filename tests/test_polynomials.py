@@ -113,7 +113,7 @@ def test_vandermonde_factor_d1():
     assert factor.size == 8
     assert sorted(factor.bases) == [1, 2, 3, 5, 6, 10, 15, 30]
     tau_index = factor.taus.index((1, 1, 0))
-    assert factor.entry(2, tau_index) == 36
+    assert factor.matrix()[1][tau_index] == 36
     ones_col = factor.taus.index((0, 0, 0))
     assert all(row[ones_col] == 1 for row in factor.matrix())
 
