@@ -61,9 +61,8 @@ def _module_bindings(tree: ast.Module) -> tuple[dict[str, ast.AST], dict[str, No
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defs[stmt.name] = stmt
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
+        elif isinstance(stmt, ast.Assign):
+            for target in stmt.targets:
                 if isinstance(target, ast.Name):
                     defs[target.id] = stmt.value
         elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
