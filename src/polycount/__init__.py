@@ -57,7 +57,6 @@ from .pm_reduction import (
     simulate_oracle_via_stretch,
 )
 from .polynomials import (
-    KroneckerSystem,
     SparsePolynomial,
     VandermondeFactor,
     grid_interpolate,

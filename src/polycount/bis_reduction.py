@@ -20,7 +20,7 @@ from .errors import BudgetError
 from .graphs import BlockPartition, Multigraph, gadget_size, partition_edges, substitute_gadget
 # vc_bruteforce is not called here; pipebench/spans.py hooks it at this module
 from .oracles import vc_bipartite, vc_bruteforce
-from .polynomials import KroneckerSystem, VandermondeFactor, kronecker_apply, kronecker_solve
+from .polynomials import VandermondeFactor, kronecker_apply, kronecker_solve
 from .transcripts import OracleTranscript
 
 TypeMatrix = tuple[tuple[int, int, int], ...]
@@ -186,7 +186,7 @@ def count_is(
             answer=answer,
             derived="rhs entry",
         )
-    solution = kronecker_solve(KroneckerSystem(factor, part.b, rhs))
+    solution = kronecker_solve(factor, part.b, rhs)
     census: dict[TypeMatrix, int] = {}
     total = 0
     for key, val in solution.items():

@@ -247,9 +247,15 @@ def parse_graph(text: str) -> Multigraph:
 
 
 def format_graph(g: Multigraph) -> str:
-    """Serialize back to the text format (inverse of parse_graph)."""
+    """Serialize back to the text format (inverse of parse_graph).
+
+    Raises ValueError on a label that is empty or holds whitespace: the
+    text would read back as a different graph, or not at all.
+    """
     lines = [f"p graph {g.n} {g.m}"]
     for e in g.edges:
+        if e.label.split() != [e.label]:
+            raise ValueError(f"edge ({e.u},{e.v}) label {e.label!r} is empty or holds whitespace")
         lines.append(f"e {e.u} {e.v} {e.mult} {e.label}")
     return "\n".join(lines) + "\n"
 

@@ -163,15 +163,14 @@ def block_interpolation(
     n_queries = (params.C + 1) ** len(classes)
     if n_queries > QUERY_GUARD:
         raise BudgetError(f"grid needs {n_queries} oracle queries, budget is {QUERY_GUARD}")
-    nodes = [Fraction(j) for j in range(params.C + 1)]
-    values: dict[tuple[Rat, ...], Rat] = {}
+    values: dict[tuple[int, ...], Rat] = {}
     # a flat loop in lexicographic order: no closure that refers to itself
     # holds the values and the transcript in a reference cycle after return
-    for point in product(nodes, repeat=len(classes)):
+    for point in product(range(params.C + 1), repeat=len(classes)):
         wprime = {}
         for cls, val in zip(classes, point):
             for edge_id in cls:
-                wprime[edge_id] = int(val)
+                wprime[edge_id] = val
         query = {
             "point": [str(v) for v in point],
             "multiplicities": {str(k): v for k, v in sorted(wprime.items())},
@@ -190,11 +189,7 @@ def block_interpolation(
                 answer=answer,
                 derived=f"F at z0*point, z0={params.z0}",
             )
-    poly = grid_interpolate(
-        values,
-        {name: params.C for name in names},
-        {name: nodes for name in names},
-    )
+    poly = grid_interpolate(values, names, params.C)
     # project all x-classes onto w and all y-classes onto z
     n_x = sum(1 for name in names if name.startswith("x"))
     z0 = params.z0

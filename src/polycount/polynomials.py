@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence
 
 Rat = Fraction
@@ -159,97 +160,53 @@ def node_polynomial_rows(nodes: Sequence[Rat]) -> tuple[list[list[Rat]], list[Ra
     return rows, denominators
 
 
-def lagrange_coefficient_rows(nodes: Sequence[Rat]) -> list[list[Rat]]:
-    """Row i holds the monomial coefficients of the Lagrange basis polynomial
-    that is 1 at nodes[i] and 0 at the other nodes.
-
-    This is the exact inverse transpose of the Vandermonde matrix on the
-    nodes; applying it to sampled values yields polynomial coefficients.
-    """
-    rows, denominators = node_polynomial_rows([Fraction(x) for x in nodes])
-    return [[c / denom for c in row] for row, denom in zip(rows, denominators)]
-
-
 def grid_interpolate(
-    values: Mapping[tuple[Rat, ...], Rat],
-    degree_bounds: Mapping[str, int],
-    nodes: Mapping[str, Sequence[Rat]],
+    values: Mapping[tuple[int, ...], Rat],
+    variables: Sequence[str],
+    degree: int,
 ) -> SparsePolynomial:
-    """Recover the unique polynomial matching values on a full node grid.
+    """Recover the unique polynomial of degree at most ``degree`` in each
+    variable that matches values on the grid {0..degree}^len(variables).
 
-    The variable order is the iteration order of ``degree_bounds``; keys of
-    ``values`` are node-value tuples in that order.  Each variable needs
-    exactly degree_bound + 1 pairwise-distinct nodes, and values must cover
-    the whole Cartesian grid.  Implemented as tensorized univariate Lagrange
-    interpolation, one variable (mode) at a time.
+    Keys of ``values`` are node tuples in variable order and must cover the
+    grid exactly.  Each value is divided once, by the product of its nodes'
+    denominators; the transposed integer node rows, the undivided inverse of
+    the Vandermonde matrix on 0..degree, then act along every variable.
     """
-    variables = list(degree_bounds.keys())
-    node_lists = []
-    for v in variables:
-        lst = [Fraction(x) for x in nodes[v]]
-        if len(lst) != degree_bounds[v] + 1:
-            raise ValueError(f"variable {v!r}: need {degree_bounds[v] + 1} nodes, got {len(lst)}")
-        if len(set(lst)) != len(lst):
-            raise ValueError(f"variable {v!r}: duplicate interpolation nodes")
-        node_lists.append(lst)
-    sizes = [len(lst) for lst in node_lists]
-    total = 1
-    for s in sizes:
-        total *= s
-    grid_points = list(product(*node_lists))
-    if len(values) != total or any(pt not in values for pt in grid_points):
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
+    variables = tuple(variables)
+    grid = list(product(range(degree + 1), repeat=len(variables)))
+    if len(values) != len(grid) or any(pt not in values for pt in grid):
         raise ValueError("values do not cover the interpolation grid exactly")
-    # Flat tensor, row-major with the first variable slowest.
-    tensor = [Fraction(values[pt]) for pt in grid_points]
-    for mode, lst in enumerate(node_lists):
-        # the transposed Lagrange rows are the inverse of the Vandermonde matrix
-        inverse = [list(col) for col in zip(*lagrange_coefficient_rows(lst))]
-        tensor = _apply_mode(tensor, sizes, mode, inverse)
-    poly_terms: dict[tuple[int, ...], Rat] = {}
-    for flat, coeff in enumerate(tensor):
-        if coeff == 0:
-            continue
-        exps = _unflatten(flat, sizes)
-        poly_terms[tuple(exps)] = coeff
-    return SparsePolynomial(variables, poly_terms)
+    rows, denominators = node_polynomial_rows(range(degree + 1))
+    node_dens = product(denominators, repeat=len(variables))
+    scaled = [Fraction(values[pt]) / prod(dens) for pt, dens in zip(grid, node_dens)]
+    coefficients = _apply_power(scaled, len(variables), [list(col) for col in zip(*rows)])
+    return SparsePolynomial(variables, {exps: c for exps, c in zip(grid, coefficients) if c})
 
 
-def _unflatten(flat: int, sizes: Sequence[int]) -> list[int]:
-    out = [0] * len(sizes)
-    for i in range(len(sizes) - 1, -1, -1):
-        flat, out[i] = divmod(flat, sizes[i])
-    return out
-
-
-def _apply_mode(
-    tensor: list[Rat],
-    sizes: Sequence[int],
-    mode: int,
-    matrix: Sequence[Sequence[Rat]],
-) -> list[Rat]:
-    """Multiply a flat row-major tensor by a square matrix along one mode:
-    new[j] = sum_i M[j][i] * old[i] along the mode."""
-    n = sizes[mode]
-    if len(matrix) != n or any(len(row) != n for row in matrix):
-        raise ValueError("matrix does not match mode size")
-    inner = 1
-    for s in sizes[mode + 1 :]:
-        inner *= s
-    outer = 1
-    for s in sizes[:mode]:
-        outer *= s
-    out = [0] * len(tensor)
-    for o in range(outer):
-        base_o = o * n * inner
-        for inn in range(inner):
-            fiber = [tensor[base_o + i * inner + inn] for i in range(n)]
-            for j in range(n):
-                acc = 0
-                for i in range(n):
-                    if fiber[i]:
-                        acc += matrix[j][i] * fiber[i]
-                out[base_o + j * inner + inn] = acc
-    return out
+def _apply_power(tensor: list[Rat], b: int, matrix: Sequence[Sequence[Rat]]) -> list[Rat]:
+    """Multiply a flat tensor with b modes, each of size n = len(matrix), by
+    the b-fold Kronecker power of the square matrix: new[j] = sum_i M[j][i] *
+    old[i] along every mode in turn.  Entries run in the order of
+    itertools.product, the first mode slowest."""
+    n = len(matrix)
+    for mode in range(b):
+        inner = n ** (b - mode - 1)
+        out = [0] * len(tensor)
+        for o in range(n**mode):
+            base_o = o * n * inner
+            for inn in range(inner):
+                fiber = [tensor[base_o + i * inner + inn] for i in range(n)]
+                for j in range(n):
+                    acc = 0
+                    for i in range(n):
+                        if fiber[i]:
+                            acc += matrix[j][i] * fiber[i]
+                    out[base_o + j * inner + inn] = acc
+        tensor = out
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -374,77 +331,36 @@ class VandermondeFactor:
         return rows, [p * denom for p, denom in zip(bases, denominators)]
 
 
-@dataclass
-class KroneckerSystem:
-    """A right-hand side indexed by the full grid {1..N}^b together with the
-    factor whose b-fold Kronecker power is the system matrix.  For b = 0 the
-    power is the 1x1 identity and the grid is the one empty index ()."""
+def kronecker_solve(
+    factor: VandermondeFactor, b: int, rhs: Mapping[tuple[int, ...], Rat]
+) -> dict[tuple[tuple[int, int, int], ...], Rat]:
+    """Solve (A tensor ... tensor A) x = rhs, with b factors A, without
+    materializing the power.
 
-    factor: VandermondeFactor
-    b: int
-    rhs: Mapping[tuple[int, ...], Rat]
-
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError("tensor mode count must be non-negative")
-        size = self.factor.size
-        expected = size**self.b
-        if len(self.rhs) != expected:
-            raise ValueError(f"rhs must cover the full grid of {expected} points, got {len(self.rhs)}")
-        for key in self.rhs:
-            if len(key) != self.b or any(not 1 <= e <= size for e in key):
-                raise ValueError(f"rhs key {key} outside grid (1..{size})^{self.b}")
-
-
-def kronecker_solve(system: KroneckerSystem) -> dict[tuple[tuple[int, int, int], ...], Rat]:
-    """Solve (A tensor ... tensor A) x = rhs without materializing the power.
-
-    The integer rows Q of the factor's inverse are applied along each of the
-    b tensor modes in turn, and each entry is then divided once, by
-    D[j1] * ... * D[jb].  Integer right-hand sides stay integers until that
-    division.  Keys of the result are b-tuples of column triples, one per
-    mode, in the same mode order as the rhs indices.
+    The rhs must cover the grid {1..N}^b exactly, N = factor.size; for b = 0
+    the power is the 1x1 identity and the grid is the one empty index ().  The integer rows Q
+    of the factor's inverse are applied along each of the b tensor modes,
+    and each entry is then divided once, by D[j1] * ... * D[jb].  Integer
+    right-hand sides stay integers until that division.  Keys of the result
+    are b-tuples of column triples, one per mode, in the same mode order as
+    the rhs indices.
     """
-    factor = system.factor
-    n = factor.size
-    sizes = [n] * system.b
-    # Flatten: first mode slowest, consistent with A (x) (A (x) ...) indexing.
-    tensor = [0] * (n**system.b)
-    for key, val in system.rhs.items():
-        flat = 0
-        for e in key:
-            flat = flat * n + (e - 1)
-        tensor[flat] = val
+    if b < 0:
+        raise ValueError("tensor mode count must be non-negative")
+    grid = list(product(range(1, factor.size + 1), repeat=b))
+    if len(rhs) != len(grid) or any(key not in rhs for key in grid):
+        raise ValueError(f"rhs must cover the grid (1..{factor.size})^{b} exactly, got {len(rhs)} keys")
     rows, denominators = factor.inverse()
-    for mode in range(system.b):
-        tensor = _apply_mode(tensor, sizes, mode, rows)
-    taus = factor.taus
-    out: dict[tuple[tuple[int, int, int], ...], Rat] = {}
-    for flat, val in enumerate(tensor):
-        idx = _unflatten(flat, sizes)
-        denom = 1
-        for i in idx:
-            denom *= denominators[i]
-        out[tuple(taus[i] for i in idx)] = Fraction(val, denom)
-    return out
+    tensor = _apply_power([rhs[key] for key in grid], b, rows)
+    keys = product(factor.taus, repeat=b)
+    return {
+        key: Fraction(val, prod(dens))
+        for key, dens, val in zip(keys, product(denominators, repeat=b), tensor)
+    }
 
 
 def kronecker_apply(factor: VandermondeFactor, b: int, x: Mapping[tuple[tuple[int, int, int], ...], Rat]) -> dict[tuple[int, ...], Rat]:
     """Multiply the b-fold Kronecker power of the factor by x (residual check)."""
-    n = factor.size
-    sizes = [n] * b
-    tau_index = {tau: i for i, tau in enumerate(factor.taus)}
-    tensor = [0] * (n**b)
-    for key, val in x.items():
-        flat = 0
-        for tau in key:
-            flat = flat * n + tau_index[tau]
-        tensor[flat] = val
-    mat = factor.matrix()
-    for mode in range(b):
-        tensor = _apply_mode(tensor, sizes, mode, mat)
-    out: dict[tuple[int, ...], Rat] = {}
-    for flat, val in enumerate(tensor):
-        idx = _unflatten(flat, sizes)
-        out[tuple(i + 1 for i in idx)] = val
-    return out
+    tensor = [x.get(key, 0) for key in product(factor.taus, repeat=b)]
+    tensor = _apply_power(tensor, b, factor.matrix())
+    return dict(zip(product(range(1, factor.size + 1), repeat=b), tensor))

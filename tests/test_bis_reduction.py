@@ -1,7 +1,8 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polycount import (
     BlockPartition,
@@ -213,8 +214,8 @@ def test_count_is_rejects_nonzero_residual(monkeypatch):
     # a census that passes every other check but does not solve the system
     real_solve = bis_reduction.kronecker_solve
 
-    def shifted_solve(system):
-        solution = real_solve(system)
+    def shifted_solve(factor, b, rhs):
+        solution = real_solve(factor, b, rhs)
         solution[((0, 1, 0),)] -= 1
         solution[((0, 0, 1),)] += 1
         return solution
@@ -244,12 +245,51 @@ def test_count_is_disconnected_graph():
     assert count_is(g, 1).count == is_bruteforce(g) == 2 * 3 * 3
 
 
+@st.composite
+def is_cases(draw):
+    """Simple graphs on at most 6 vertices and 4 edges, disconnected and
+    edgeless ones included, with a block size d <= 4 that gives at most 3
+    blocks and at most 729 queries."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
+    g = Multigraph(n, [Edge(u, v) for u, v in chosen])
+    sizes = [d for d in range(1, 5) if -(-g.m // d) <= 3 and ((d + 1) ** 3) ** -(-g.m // d) <= 729]
+    return g, draw(st.sampled_from(sizes)), draw(st.sampled_from(["auto", "conditioned"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(is_cases())
+@example((Multigraph(0, []), 1, "auto"))  # no blocks
+@example((Multigraph(5, [Edge(0, 1), Edge(2, 3), Edge(3, 4)]), 1, "conditioned"))  # three blocks
+@example((Multigraph(6, [Edge(0, 1), Edge(4, 5)]), 2, "auto"))  # isolated vertices
+def test_count_is_matches_bruteforce_on_random_graphs(case):
+    g, d, oracle = case
+    result = count_is(g, d, oracle=oracle)
+    assert result.count == is_bruteforce(g)
+    assert result.query_count == ((d + 1) ** 3) ** result.partition.b
+
+
 def test_transcript_records_every_query():
     result = count_is(named_graph("p3"), 2)
     assert len(result.transcript) == result.query_count == 27
     entry = result.transcript.entries[0]
     assert entry.query["ells"] == [1]
     assert int(entry.answer) > 0
+
+
+@pytest.mark.parametrize("name, d", [("p3", 2), ("k3", 1), ("c4", 4)])
+def test_every_gadget_is_within_the_linear_size_bounds(name, d):
+    # n' <= n + 3 (d + 1)^3 m and m' <= 4 (d + 1)^3 m on every query, met with
+    # equality at the top fold vector, the last in the grid
+    g = named_graph(name)
+    folds = (d + 1) ** 3
+    entries = [entry.query for entry in count_is(g, d).transcript.entries]
+    assert all(q["gadget_vertices"] <= g.n + 3 * folds * g.m for q in entries)
+    assert all(q["gadget_edges"] <= 4 * folds * g.m for q in entries)
+    top = entries[-1]
+    assert top["ells"] == [folds] * len(top["ells"])
+    assert (top["gadget_vertices"], top["gadget_edges"]) == (g.n + 3 * folds * g.m, 4 * folds * g.m)
 
 
 def test_transcript_replays_on_the_recorded_oracle():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polycount import (
     BlockPartition,
@@ -58,6 +59,46 @@ def test_parse_errors_name_lines():
 def test_roundtrip_format():
     g = named_graph("petersen")
     assert parse_graph(format_graph(g)) == g
+
+
+@st.composite
+def labelled_multigraphs(draw):
+    """Multigraphs on at most 6 vertices whose labels are any text without
+    whitespace, comment and edge-line letters included."""
+    n = draw(st.integers(0, 6))
+    edges = []
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        label = st.text(min_size=1, max_size=4).filter(lambda s: s.split() == [s])
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=8)):
+            if u != v:
+                edges.append(Edge(u, v, draw(st.integers(1, 4)), draw(label)))
+    return Multigraph(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelled_multigraphs())
+def test_format_parse_roundtrip_on_random_multigraphs(g):
+    assert parse_graph(format_graph(g)) == g
+
+
+@pytest.mark.parametrize("label", ["", "a b", " w", "w\n", "x\ty", "\u2028"])
+def test_format_refuses_a_label_that_cannot_round_trip(label):
+    with pytest.raises(ValueError, match="label"):
+        format_graph(Multigraph(2, [Edge(0, 1, 1, label)]))
+
+
+GRAPH_TOKENS = ["p", "graph", "e", "c", "0", "1", "2", "-1", "3", "x", "w", "z", "\n", " ", "\t", "\r", "\u2028"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(max_size=40), st.lists(st.sampled_from(GRAPH_TOKENS), max_size=30).map("".join)))
+def test_parse_fuzzed_text_raises_only_parse_errors(text):
+    try:
+        g = parse_graph(text)
+    except GraphParseError:
+        return
+    assert isinstance(g, Multigraph)
 
 
 def test_multigraph_validation():

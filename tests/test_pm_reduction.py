@@ -1,8 +1,10 @@
 import gc
 from fractions import Fraction
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from polycount import (
     Edge,
@@ -72,18 +74,25 @@ def test_simulate_oracle_matches_bruteforce_on_stretched_graph():
 
 
 def test_every_query_graph_is_simple():
-    seen = []
+    # every query graph is simple and within the paper's linear size bounds
+    # n' <= (n + 1) + (k - 1) C (m + n) and m' <= k C (m + n), met with
+    # equality at the grid corner where every class has weight C
     oracle = sp_simple_oracle(F(1))  # t = 1 at x = 2
+    for name, C, k, count, queries in (("c4", 2, 3, 2, 81), ("c4", 2, 5, 2, 81), ("k33", 9, 3, 6, 100)):
+        g = named_graph(name)
+        seen = []
 
-    def spy(h):
-        seen.append(h)
-        return oracle(h)
+        def spy(h):
+            seen.append(h)
+            return oracle(h)
 
-    for k in (3, 5):
-        result = count_pm(named_graph("c4"), PmReductionParams(C=2, x=F(2), k=k), simple_oracle=spy)
-        assert result.count == 2
-    assert len(seen) == 2 * 81
-    assert all(h.simple and Multigraph(h.n, h.edges, simple=True) == h for h in seen)
+        result = count_pm(g, PmReductionParams(C=C, x=F(2), k=k), simple_oracle=spy)
+        assert result.count == count
+        assert len(seen) == queries
+        assert all(h.simple and Multigraph(h.n, h.edges, simple=True) == h for h in seen)
+        assert max(h.n for h in seen) == (g.n + 1) + (k - 1) * C * (g.m + g.n)
+        assert max(h.m for h in seen) == k * C * (g.m + g.n)
+    assert (seen[-1].n, seen[-1].m) == (277, 405)  # K3,3 at C = 9, the all-C corner
 
 
 def test_simulate_oracle_refuses_a_multigraph_query():
@@ -208,6 +217,42 @@ def test_count_pm_disconnected_even_graph():
     assert count_pm(g, PmReductionParams(C=2, x=F(2))).count == 1 == pm_bruteforce(g)
     lonely = Multigraph(4, [Edge(0, 1)])  # isolated vertices: no matching
     assert count_pm(lonely, PmReductionParams(C=2, x=F(2))).count == 0 == pm_bruteforce(lonely)
+
+
+def pm_grid_variables(g, C):
+    """Interpolation variables of count_pm: classes of at most C w-edges,
+    then of at most C apex (z) edges."""
+    return -(-g.m // C) + -(-g.n // C)
+
+
+@st.composite
+def pm_cases(draw):
+    """Simple graphs on at most 6 vertices and 8 edges, disconnected and
+    edgeless ones included, with a class size C <= 4 whose grid has at most
+    4 variables and 729 points."""
+    n = draw(st.integers(0, 6))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    g = Multigraph(n, [Edge(u, v) for u, v in chosen])
+    sizes = [
+        C for C in range(1, 5)
+        if pm_grid_variables(g, C) <= 4 and (C + 1) ** pm_grid_variables(g, C) <= 729
+    ]
+    return g, draw(st.sampled_from(sizes)), draw(st.sampled_from([F(2), F(3), F(-1)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pm_cases())
+@example((Multigraph(0, []), 2, F(2)))  # no grid variables
+@example((Multigraph(2, []), 2, F(2)))  # one
+@example((Multigraph(6, [Edge(0, 1), Edge(2, 3), Edge(4, 5)]), 3, F(3)))  # three components
+@example((Multigraph(4, [Edge(0, 2), Edge(1, 3), Edge(0, 1)]), 2, F(-1)))  # four variables
+def test_count_pm_matches_bruteforce_on_random_graphs(case):
+    g, C, x = case
+    result = count_pm(g, PmReductionParams(C=C, x=x))
+    assert result.count == pm_bruteforce(g)
+    if g.n % 2 == 0:
+        assert result.query_count == (C + 1) ** pm_grid_variables(g, C)
 
 
 def test_count_pm_query_budget(monkeypatch):

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 
 from polycount import (
-    KroneckerSystem,
     SparsePolynomial,
     VandermondeFactor,
     grid_interpolate,
@@ -18,7 +17,6 @@ from polycount.polynomials import (
     exact_det,
     exact_inverse,
     kronecker_apply,
-    lagrange_coefficient_rows,
     node_polynomial_rows,
 )
 
@@ -55,29 +53,30 @@ def test_poly_no_zero_terms():
 
 
 def test_grid_interpolate_quadratic():
-    values = {(F(0),): F(1), (F(1),): F(2), (F(2),): F(5)}
-    p = grid_interpolate(values, {"x": 2}, {"x": [F(0), F(1), F(2)]})
+    values = {(0,): F(1), (1,): F(2), (2,): F(5)}
+    p = grid_interpolate(values, ["x"], 2)
     assert p == SparsePolynomial(("x",), {(0,): F(1), (2,): F(1)})
 
 
 def test_grid_interpolate_constant():
-    values = {(F(0),): F(9), (F(1),): F(9)}
-    p = grid_interpolate(values, {"x": 1}, {"x": [F(0), F(1)]})
+    values = {(0,): F(9), (1,): F(9)}
+    p = grid_interpolate(values, ["x"], 1)
     assert p == SparsePolynomial(("x",), {(0,): F(9)})
 
 
 def test_grid_interpolate_bivariate():
-    nodes = [F(0), F(1)]
-    values = {(a, b): a + b for a in nodes for b in nodes}
-    p = grid_interpolate(values, {"x": 1, "y": 1}, {"x": nodes, "y": nodes})
+    values = {(a, b): F(a + b) for a in (0, 1) for b in (0, 1)}
+    p = grid_interpolate(values, ["x", "y"], 1)
     assert p == SparsePolynomial(("x", "y"), {(1, 0): F(1), (0, 1): F(1)})
 
 
 def test_grid_interpolate_rejects_bad_grids():
-    with pytest.raises(ValueError):
-        grid_interpolate({(F(0),): F(1)}, {"x": 1}, {"x": [F(0), F(0)]})
-    with pytest.raises(ValueError):
-        grid_interpolate({(F(0),): F(1)}, {"x": 1}, {"x": [F(0), F(1)]})
+    with pytest.raises(ValueError, match="cover"):  # a missing point
+        grid_interpolate({(0,): F(1)}, ["x"], 1)
+    with pytest.raises(ValueError, match="cover"):  # a point off the grid
+        grid_interpolate({(0,): F(1), (1,): F(2), (2,): F(3)}, ["x"], 1)
+    with pytest.raises(ValueError, match="degree"):
+        grid_interpolate({(): F(1)}, [], -1)
 
 
 def test_grid_interpolate_roundtrip_random():
@@ -91,17 +90,30 @@ def test_grid_interpolate_roundtrip_random():
             for _ in range(rng.randint(1, 6))
         }
         p = SparsePolynomial(variables, terms)
-        nodes = {v: [F(j) for j in range(deg + 1)] for v in variables}
         values = {
             pt: p.evaluate(dict(zip(variables, pt)))
-            for pt in product(*[nodes[v] for v in variables])
+            for pt in product(range(deg + 1), repeat=n_vars)
         }
-        assert grid_interpolate(values, {v: deg for v in variables}, nodes) == p
+        assert grid_interpolate(values, variables, deg) == p
+
+
+def test_grid_interpolate_roundtrip_rational_degree_9():
+    # the shape of count_pm's K3,3 grid at C = 9: two variables, nodes 0..9,
+    # here with coefficients of different denominators
+    rng = random.Random(7)
+    terms = {
+        (rng.randint(0, 9), rng.randint(0, 9)): F(rng.randint(-50, 50), rng.choice([1, 2, 3, 7, 9, 11]))
+        for _ in range(12)
+    }
+    terms[(9, 9)] = F(-5, 13)
+    terms[(0, 0)] = F(1, 4)
+    p = SparsePolynomial(("x", "y"), terms)
+    values = {pt: p.evaluate({"x": pt[0], "y": pt[1]}) for pt in product(range(10), repeat=2)}
+    assert len({v.denominator for v in p.terms.values()}) > 2
+    assert grid_interpolate(values, ["x", "y"], 9) == p
 
 
 def test_lagrange_rows_exact():
-    rows = lagrange_coefficient_rows([F(2), F(3)])
-    assert rows == [[F(3), F(-1)], [F(-2), F(1)]]
     # undivided: master(t) = (t - 2)(t - 3), rows master / (t - x_i)
     assert node_polynomial_rows([2, 3]) == ([[-3, 1], [-2, 1]], [-1, 1])
     with pytest.raises(ValueError):
@@ -171,7 +183,7 @@ def test_kronecker_solve_known_combination():
             base = 2 ** tau[0] * 3 ** tau[1] * 5 ** tau[2]
             total += x * base**ell
         rhs[(ell,)] = total
-    solution = kronecker_solve(KroneckerSystem(factor, 1, rhs))
+    solution = kronecker_solve(factor, 1, rhs)
     for tau in factor.taus:
         assert solution[(tau,)] == weights.get(tau, 0)
 
@@ -181,7 +193,7 @@ def test_kronecker_solve_indicator():
     tau0 = (1, 0, 1)
     j = factor.taus.index(tau0)
     rhs = {(ell,): F(factor.matrix()[ell - 1][j]) for ell in range(1, 9)}
-    solution = kronecker_solve(KroneckerSystem(factor, 1, rhs))
+    solution = kronecker_solve(factor, 1, rhs)
     assert all(v == (key == (tau0,)) for key, v in solution.items())
 
 
@@ -190,7 +202,7 @@ def test_kronecker_solve_indicator_two_modes():
     tau_pair = ((1, 0, 0), (0, 1, 1))
     x = {key: F(int(key == tau_pair)) for key in product(factor.taus, repeat=2)}
     rhs = kronecker_apply(factor, 2, x)
-    solution = kronecker_solve(KroneckerSystem(factor, 2, rhs))
+    solution = kronecker_solve(factor, 2, rhs)
     assert solution == x
 
 
@@ -202,7 +214,7 @@ def test_kronecker_roundtrip_b3():
         key = tuple(rng.choice(factor.taus) for _ in range(3))
         x[key] += rng.randint(1, 9)
     rhs = kronecker_apply(factor, 3, x)
-    assert kronecker_solve(KroneckerSystem(factor, 3, rhs)) == x
+    assert kronecker_solve(factor, 3, rhs) == x
     assert kronecker_apply(factor, 3, x) == rhs
 
 
@@ -225,8 +237,15 @@ def test_kronecker_apply_matches_dense_kron_power(d, b):
 
 def test_kronecker_system_requires_total_rhs():
     factor = VandermondeFactor(1)
-    with pytest.raises(ValueError):
-        KroneckerSystem(factor, 1, {(1,): F(1)})
+    total = {(ell,): F(ell) for ell in range(1, 9)}
+    with pytest.raises(ValueError, match="cover"):  # a missing key
+        kronecker_solve(factor, 1, {(1,): F(1)})
+    with pytest.raises(ValueError, match="cover"):  # an extra key
+        kronecker_solve(factor, 1, {**total, (9,): F(1)})
+    with pytest.raises(ValueError, match="cover"):  # a key outside the grid
+        kronecker_solve(factor, 1, {**{k: v for k, v in total.items() if k != (8,)}, (0,): F(1)})
+    with pytest.raises(ValueError, match="non-negative"):
+        kronecker_solve(factor, -1, {(): F(1)})
 
 
 def test_kronecker_roundtrip_d2_b2_integer_census():
@@ -237,7 +256,7 @@ def test_kronecker_roundtrip_d2_b2_integer_census():
         x[(rng.choice(factor.taus), rng.choice(factor.taus))] += rng.randint(1, 9)
     rhs = kronecker_apply(factor, 2, x)
     assert all(type(v) is int for v in rhs.values())
-    solution = kronecker_solve(KroneckerSystem(factor, 2, rhs))
+    solution = kronecker_solve(factor, 2, rhs)
     assert solution == x
     assert all(v.denominator == 1 for v in solution.values())
 
@@ -245,7 +264,7 @@ def test_kronecker_roundtrip_d2_b2_integer_census():
 def test_kronecker_solve_rational_rhs():
     factor = VandermondeFactor(1)
     rhs = {(ell,): F(ell * ell - 3, 7) for ell in range(1, factor.size + 1)}
-    solution = kronecker_solve(KroneckerSystem(factor, 1, rhs))
+    solution = kronecker_solve(factor, 1, rhs)
     inverse = exact_inverse(factor.matrix())
     for j, tau in enumerate(factor.taus):
         assert solution[(tau,)] == sum(inverse[j][ell - 1] * rhs[(ell,)] for ell in range(1, factor.size + 1))

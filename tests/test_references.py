@@ -38,6 +38,7 @@ FAST_TO_REFERENCE = [
     (("bis_reduction", "count_is"),
      [("oracles", "vc_bruteforce"), ("oracles", "is_bruteforce"), ("bis_reduction", "type_of")]),
     (("oracles", "vc_bipartite"), [("oracles", "vc_bruteforce")]),
+    (("polynomials", "grid_interpolate"), [("polynomials", "exact_inverse")]),
     (("polynomials", "kronecker_solve"), [("polynomials", "exact_inverse")]),
     (("polynomials", "kronecker_apply"), [("polynomials", "kron")]),
     (("csp", "count_affine"), [("csp", "count_bruteforce")]),
