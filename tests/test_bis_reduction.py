@@ -254,7 +254,11 @@ def is_cases(draw):
     pairs = list(combinations(range(n), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=4)) if pairs else []
     g = Multigraph(n, [Edge(u, v) for u, v in chosen])
-    sizes = [d for d in range(1, 5) if -(-g.m // d) <= 3 and ((d + 1) ** 3) ** -(-g.m // d) <= 729]
+    sizes = []
+    for d in range(1, 5):
+        blocks = -(-g.m // d)
+        if blocks <= 3 and ((d + 1) ** 3) ** blocks <= 729:
+            sizes.append(d)
     return g, draw(st.sampled_from(sizes)), draw(st.sampled_from(["auto", "conditioned"]))
 
 

@@ -242,8 +242,11 @@ def test_kronecker_system_requires_total_rhs():
         kronecker_solve(factor, 1, {(1,): F(1)})
     with pytest.raises(ValueError, match="cover"):  # an extra key
         kronecker_solve(factor, 1, {**total, (9,): F(1)})
+    off_grid = dict(total)
+    del off_grid[(8,)]
+    off_grid[(0,)] = F(1)
     with pytest.raises(ValueError, match="cover"):  # a key outside the grid
-        kronecker_solve(factor, 1, {**{k: v for k, v in total.items() if k != (8,)}, (0,): F(1)})
+        kronecker_solve(factor, 1, off_grid)
     with pytest.raises(ValueError, match="non-negative"):
         kronecker_solve(factor, -1, {(): F(1)})
 
