@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from operator import mul
+from typing import Callable, Mapping, Sequence
 
 Rat = Fraction
 
@@ -122,6 +123,20 @@ class SparsePolynomial:
 # ---------------------------------------------------------------------------
 
 
+def master_polynomial(nodes: Sequence[Rat]) -> tuple[list[Rat], list[Rat]]:
+    """The master polynomial m(t) = prod_j (t - nodes[j]) of pairwise-distinct
+    nodes: its monomial coefficients, low to high, and its derivative at
+    each node, m'(nodes[i]) = prod_{j != i} (nodes[i] - nodes[j]).  Integer
+    nodes give integers."""
+    if len(set(nodes)) != len(nodes):
+        raise ValueError("interpolation nodes must be pairwise distinct")
+    master = [1]
+    for x in nodes:
+        master = [lower - x * c for lower, c in zip([0] + master, master + [0])]
+    slopes = [prod([xi - xj for xj in nodes if xj != xi]) for xi in nodes]
+    return master, slopes
+
+
 def node_polynomial_rows(nodes: Sequence[Rat]) -> tuple[list[list[Rat]], list[Rat]]:
     """Undivided Lagrange rows on pairwise-distinct nodes.
 
@@ -132,32 +147,26 @@ def node_polynomial_rows(nodes: Sequence[Rat]) -> tuple[list[list[Rat]], list[Ra
     and 0 at the other nodes (Macon and Spitzbart, Inverses of Vandermonde
     matrices, 1958).  Integer nodes give integer rows and denominators.
     """
-    if len(set(nodes)) != len(nodes):
-        raise ValueError("interpolation nodes must be pairwise distinct")
+    master, denominators = master_polynomial(nodes)
     n = len(nodes)
-    master = [1]
-    for x in nodes:
-        nxt = [0] * (len(master) + 1)
-        for j, c in enumerate(master):
-            nxt[j + 1] += c
-            nxt[j] -= c * x
-        master = nxt
     rows = []
-    denominators = []
-    for i, xi in enumerate(nodes):
+    for xi in nodes:
         # synthetic division: master / (t - xi)
         q = [0] * n
         carry = master[n]
         for j in range(n - 1, -1, -1):
             q[j] = carry
             carry = master[j] + carry * xi
-        denom = 1
-        for j, xj in enumerate(nodes):
-            if j != i:
-                denom *= xi - xj
         rows.append(q)
-        denominators.append(denom)
     return rows, denominators
+
+
+def _horner(coefficients: Sequence[Rat], x: Rat) -> Rat:
+    """Value at x of the polynomial with the given coefficients, low to high."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def grid_interpolate(
@@ -171,7 +180,8 @@ def grid_interpolate(
     Keys of ``values`` are node tuples in variable order and must cover the
     grid exactly.  Each value is divided once, by the product of its nodes'
     denominators; the transposed integer node rows, the undivided inverse of
-    the Vandermonde matrix on 0..degree, then act along every variable.
+    the Vandermonde matrix on 0..degree, then act on every fiber of every
+    variable.
     """
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
@@ -182,29 +192,41 @@ def grid_interpolate(
     rows, denominators = node_polynomial_rows(range(degree + 1))
     node_dens = product(denominators, repeat=len(variables))
     scaled = [Fraction(values[pt]) / prod(dens) for pt, dens in zip(grid, node_dens)]
-    coefficients = _apply_power(scaled, len(variables), [list(col) for col in zip(*rows)])
+    columns = list(zip(*rows))
+
+    def interpolate_fiber(fiber: list[Rat]) -> list[Rat]:
+        out = []
+        for col in columns:
+            acc = 0
+            for c, v in zip(col, fiber):
+                if v:
+                    acc += c * v
+            out.append(acc)
+        return out
+
+    coefficients = _map_modes(scaled, len(variables), degree + 1, interpolate_fiber)
     return SparsePolynomial(variables, {exps: c for exps, c in zip(grid, coefficients) if c})
 
 
-def _apply_power(tensor: list[Rat], b: int, matrix: Sequence[Sequence[Rat]]) -> list[Rat]:
-    """Multiply a flat tensor with b modes, each of size n = len(matrix), by
-    the b-fold Kronecker power of the square matrix: new[j] = sum_i M[j][i] *
-    old[i] along every mode in turn.  Entries run in the order of
-    itertools.product, the first mode slowest."""
-    n = len(matrix)
+def _map_modes(
+    tensor: list[Rat], b: int, n: int, fiber_map: Callable[[list[Rat]], list[Rat]]
+) -> list[Rat]:
+    """Carry every fiber of a flat tensor with b modes of size n through a
+    linear map of length-n vectors, one mode after another: the map acts on
+    the entries whose indices differ only along that mode.  Entries run in
+    the order of itertools.product, the first mode slowest.  With the map
+    v -> M v this multiplies by the b-fold Kronecker power of M; an all-zero
+    fiber maps to zeros without a call."""
+    size = len(tensor)
     for mode in range(b):
         inner = n ** (b - mode - 1)
-        out = [0] * len(tensor)
-        for o in range(n**mode):
-            base_o = o * n * inner
-            for inn in range(inner):
-                fiber = [tensor[base_o + i * inner + inn] for i in range(n)]
-                for j in range(n):
-                    acc = 0
-                    for i in range(n):
-                        if fiber[i]:
-                            acc += matrix[j][i] * fiber[i]
-                    out[base_o + j * inner + inn] = acc
+        stride = n * inner
+        out = [0] * size
+        for base in range(0, size, stride):
+            for start in range(base, base + inner):
+                fiber = tensor[start : start + stride : inner]
+                if any(fiber):
+                    out[start : start + stride : inner] = fiber_map(fiber)
         tensor = out
     return tensor
 
@@ -325,6 +347,8 @@ class VandermondeFactor:
         the transpose of the Vandermonde matrix on the bases, whose inverse
         rows are the Lagrange basis coefficients.  So Q holds the node
         polynomial rows on the bases and D[j] = bases[j] * denominators[j].
+        kronecker_solve builds no such table; this dense form, like
+        matrix(), is the reference that tests check the solve against.
         """
         bases = self.bases
         rows, denominators = node_polynomial_rows(bases)
@@ -335,23 +359,37 @@ def kronecker_solve(
     factor: VandermondeFactor, b: int, rhs: Mapping[tuple[int, ...], Rat]
 ) -> dict[tuple[tuple[int, int, int], ...], Rat]:
     """Solve (A tensor ... tensor A) x = rhs, with b factors A, without
-    materializing the power.
+    materializing the power or the factor's inverse.
 
     The rhs must cover the grid {1..N}^b exactly, N = factor.size; for b = 0
-    the power is the 1x1 identity and the grid is the one empty index ().  The integer rows Q
-    of the factor's inverse are applied along each of the b tensor modes,
-    and each entry is then divided once, by D[j1] * ... * D[jb].  Integer
-    right-hand sides stay integers until that division.  Keys of the result
-    are b-tuples of column triples, one per mode, in the same mode order as
-    the rhs indices.
+    the power is the 1x1 identity and the grid is the one empty index ().
+    Along each of the b tensor modes, every fiber r goes through the
+    undivided inverse of the factor in O(N^2), from the master polynomial
+    m(t) = prod_j (t - beta_j) of the bases beta and no N x N table
+    (Kaltofen and Lakshman, ISSAC 1988; Zippel, J. Symbolic Comput. 1990):
+    with P(t) = sum_s p_s t^s and p_s = sum_k r_k * m_{k+s+1}, entry j is
+    P(beta_j) by Horner, which is row j of the node polynomial rows on the
+    bases applied to r.  Each entry is then divided once, by
+    D[j1] * ... * D[jb] with D[j] = beta_j * m'(beta_j).
+    Integer right-hand sides stay integers until that division.  Keys of
+    the result are b-tuples of column triples, one per mode, in the same
+    mode order as the rhs indices.
     """
     if b < 0:
         raise ValueError("tensor mode count must be non-negative")
-    grid = list(product(range(1, factor.size + 1), repeat=b))
+    n = factor.size
+    grid = list(product(range(1, n + 1), repeat=b))
     if len(rhs) != len(grid) or any(key not in rhs for key in grid):
-        raise ValueError(f"rhs must cover the grid (1..{factor.size})^{b} exactly, got {len(rhs)} keys")
-    rows, denominators = factor.inverse()
-    tensor = _apply_power([rhs[key] for key in grid], b, rows)
+        raise ValueError(f"rhs must cover the grid (1..{n})^{b} exactly, got {len(rhs)} keys")
+    bases = factor.bases
+    master, slopes = master_polynomial(bases)
+
+    def solve_fiber(r: list[Rat]) -> list[Rat]:
+        p = [sum(map(mul, r, master[s + 1 :])) for s in range(n)]
+        return [_horner(p, beta) for beta in bases]
+
+    tensor = _map_modes([rhs[key] for key in grid], b, n, solve_fiber)
+    denominators = [beta * slope for beta, slope in zip(bases, slopes)]
     keys = product(factor.taus, repeat=b)
     return {
         key: Fraction(val, prod(dens))
@@ -360,7 +398,25 @@ def kronecker_solve(
 
 
 def kronecker_apply(factor: VandermondeFactor, b: int, x: Mapping[tuple[tuple[int, int, int], ...], Rat]) -> dict[tuple[int, ...], Rat]:
-    """Multiply the b-fold Kronecker power of the factor by x (residual check)."""
-    tensor = [x.get(key, 0) for key in product(factor.taus, repeat=b)]
-    tensor = _apply_power(tensor, b, factor.matrix())
-    return dict(zip(product(range(1, factor.size + 1), repeat=b), tensor))
+    """Multiply the b-fold Kronecker power of the factor by x (residual check).
+
+    No matrix is built: along each mode, every nonzero entry x_j of a fiber
+    adds x_j * beta_j^ell into output ell for ell = 1..N, the power stepped
+    up by one factor beta_j at a time.  It reads only the bases, so the
+    check shares nothing with the solve.  Missing keys of x count as 0.
+    """
+    n = factor.size
+    bases = factor.bases
+
+    def apply_fiber(fiber: list[Rat]) -> list[Rat]:
+        y = [0] * n
+        for xj, beta in zip(fiber, bases):
+            if xj:
+                power = xj
+                for ell in range(n):
+                    power *= beta
+                    y[ell] += power
+        return y
+
+    tensor = _map_modes([x.get(key, 0) for key in product(factor.taus, repeat=b)], b, n, apply_fiber)
+    return dict(zip(product(range(1, n + 1), repeat=b), tensor))

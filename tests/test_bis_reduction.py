@@ -245,6 +245,19 @@ def test_count_is_disconnected_graph():
     assert count_is(g, 1).count == is_bruteforce(g) == 2 * 3 * 3
 
 
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize(
+    "g",
+    [Multigraph(5, [Edge(i, i + 1) for i in range(4)]), Multigraph(4, [Edge(0, 1), Edge(1, 2), Edge(0, 2), Edge(2, 3)])],
+    ids=["p5", "triangle-with-pendant"],
+)
+def test_count_is_one_block_beyond_d4(g, d):
+    # factor sizes 216 and 343, past the d <= 4 of every other count_is test
+    result = count_is(g, d)
+    assert result.partition.b == 1
+    assert result.count == is_bruteforce(g)
+
+
 @st.composite
 def is_cases(draw):
     """Simple graphs on at most 6 vertices and 4 edges, disconnected and

@@ -273,3 +273,21 @@ def test_kronecker_solve_rational_rhs():
         assert solution[(tau,)] == sum(inverse[j][ell - 1] * rhs[(ell,)] for ell in range(1, factor.size + 1))
     assert any(v.denominator != 1 for v in solution.values())
     assert kronecker_apply(factor, 1, solution) == rhs
+
+
+def test_kronecker_solve_rational_rhs_two_modes():
+    # b = 2 with a non-integer rhs, so the second mode's fibers are
+    # fractions; the reference is the Gauss-Jordan inverse of the dense
+    # Kronecker square, rows over (tau_1, tau_2), columns over (ell_1, ell_2)
+    factor = VandermondeFactor(1)
+    grid = list(product(range(1, factor.size + 1), repeat=2))
+    rhs = {ells: F(ells[0] * ells[0] - 3 * ells[1], 7) for ells in grid}
+    solution = kronecker_solve(factor, 2, rhs)
+    inverse = exact_inverse(kron(factor.matrix(), factor.matrix()))
+    want = {
+        key: sum(map(mul, row, (rhs[ells] for ells in grid)))
+        for key, row in zip(product(factor.taus, repeat=2), inverse)
+    }
+    assert solution == want
+    assert any(v.denominator != 1 for v in solution.values())
+    assert kronecker_apply(factor, 2, solution) == rhs

@@ -3,17 +3,21 @@ fast path may call its reference, and no reference may call the fast path
 it checks.
 
 The walk reads the source of src/polycount with `ast` and imports nothing.
-Every module-level function, class and assigned name is a node.  A node
-refers to each module-level name its body (with defaults, decorators and
-nested functions; a class with all its methods) reads, resolved through
-the module's own definitions, its `from .x import y` lines and
-`module.attr` for `from . import module`.  A path is the transitive closure
-of those references, so it sees pairs kept in one module (forest.py,
-csp.py, polynomials.py) that an import-only check would miss.
+Every module-level function, class and assigned name is a node, and so is
+every method, as `Class.method`.  A node refers to each module-level name
+its body (with defaults, decorators, annotations and nested functions)
+reads, resolved through the module's own definitions, its `from .x import
+y` lines and `module.attr` for `from . import module`.  A class node is its
+header, its class-level statements and its dunder methods, which operators
+and construction call without naming them.  Any other attribute read
+(`factor.inverse()`, `self._helper()`) refers to every method of that name
+in the package, so a call through an instance is followed without knowing
+the instance's class.  A path is the transitive closure of those
+references, so it sees pairs kept in one module (forest.py, csp.py,
+polynomials.py) that an import-only check would miss.
 
-Known blind spot: a call through an instance or an attribute of a
-non-module object (`factor.inverse()`, `self._helper()`) is not followed
-past the class, so a reference reached only that way goes unseen.
+Known blind spot: a method reached by a name built at run time
+(`getattr(obj, name)`) goes unseen.
 """
 
 from __future__ import annotations
@@ -52,6 +56,13 @@ REFERENCE_TO_FAST = [
 
 PAIRS = FAST_TO_REFERENCE + REFERENCE_TO_FAST
 
+# the census residual check -> the solve's construction, which it must
+# never share, so that one fault cannot hide in both
+RESIDUAL_TO_SOLVE = [
+    (("polynomials", "kronecker_apply"), ("polynomials", "master_polynomial")),
+    (("polynomials", "kronecker_apply"), ("polynomials", "node_polynomial_rows")),
+]
+
 
 def _module_bindings(tree: ast.Module) -> tuple[dict[str, ast.AST], dict[str, Node], set[str]]:
     """A module's definitions (name -> node to walk), its `from .x import y`
@@ -60,8 +71,17 @@ def _module_bindings(tree: ast.Module) -> tuple[dict[str, ast.AST], dict[str, No
     imported: dict[str, Node] = {}
     modules: set[str] = set()
     for stmt in tree.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             defs[stmt.name] = stmt
+        elif isinstance(stmt, ast.ClassDef):
+            header: list[ast.AST] = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+            for member in stmt.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    defs[f"{stmt.name}.{member.name}"] = member
+                    if not (member.name.startswith("__") and member.name.endswith("__")):
+                        continue
+                header.append(member)
+            defs[stmt.name] = ast.Module(body=header, type_ignores=[])
         elif isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
@@ -98,23 +118,25 @@ def reference_graph() -> dict[Node, set[Node]]:
             module, name = imported[name]
         return None
 
+    methods: dict[str, set[Node]] = {}
+    for module, (defs, _, _) in bindings.items():
+        for name in defs:
+            if "." in name:
+                methods.setdefault(name.split(".")[1], set()).add((module, name))
+
     graph: dict[Node, set[Node]] = {}
     for module, (defs, _, modules) in bindings.items():
         for name, body in defs.items():
             refs = set()
             for node in ast.walk(body):
-                target = None
                 if isinstance(node, ast.Name):
-                    target = resolve(module, node.id)
-                elif (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in modules
-                ):
-                    target = resolve(node.value.id, node.attr)
-                if target is not None and target != (module, name):
-                    refs.add(target)
-            graph[(module, name)] = refs
+                    refs.add(resolve(module, node.id))
+                elif isinstance(node, ast.Attribute):
+                    if isinstance(node.value, ast.Name) and node.value.id in modules:
+                        refs.add(resolve(node.value.id, node.attr))
+                    else:
+                        refs |= methods.get(node.attr, set())
+            graph[(module, name)] = refs - {None, (module, name)}
     return graph
 
 
@@ -141,6 +163,7 @@ def test_every_named_function_resolves():
     # a renamed root or reference must fail here, not pass the walk unchecked
     graph = reference_graph()
     named = {root for root, _ in PAIRS} | {target for _, targets in PAIRS for target in targets}
+    named |= {node for pair in RESIDUAL_TO_SOLVE for node in pair}
     assert sorted(n for n in named if n not in graph) == []
 
 
@@ -151,6 +174,16 @@ def test_walk_follows_module_attributes_and_imports():
     assert path_between(graph, ("forest", "forest_poly_sp"), ("forest", "vertex_core_value"))
     assert path_between(graph, ("bis_reduction", "count_is"), ("oracles", "vc_bipartite"))
     assert ("oracles", "SUBSET_GUARD") in graph[("bis_reduction", "_resolve_oracle")]
+
+
+def test_walk_follows_calls_through_instances():
+    # an attribute read on an instance reaches the methods of that name; a
+    # class named only in an annotation reaches none of its other methods
+    graph = reference_graph()
+    assert ("graphs", "Multigraph.as_simple") in graph[("bis_reduction", "count_is")]
+    assert ("polynomials", "VandermondeFactor.bases") in graph[("polynomials", "kronecker_apply")]
+    assert path_between(graph, ("polynomials", "VandermondeFactor.inverse"), ("polynomials", "master_polynomial"))
+    assert path_between(graph, ("polynomials", "VandermondeFactor"), ("polynomials", "node_polynomial_rows")) is None
 
 
 @pytest.mark.parametrize(
@@ -164,3 +197,11 @@ def test_no_path_between_a_fast_evaluator_and_its_reference(root, targets):
         if chain is not None:
             found[target] = " -> ".join(f"{m}.{n}" for m, n in chain)
     assert found == {}
+
+
+@pytest.mark.parametrize(
+    "root, target", RESIDUAL_TO_SOLVE, ids=[f"{root[1]}-{target[1]}" for root, target in RESIDUAL_TO_SOLVE]
+)
+def test_no_path_from_the_residual_check_to_the_solve(root, target):
+    chain = path_between(reference_graph(), root, target)
+    assert chain is None, " -> ".join(f"{m}.{n}" for m, n in chain)
