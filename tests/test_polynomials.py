@@ -161,6 +161,19 @@ def test_structured_inverse_beyond_gauss_jordan_limit():
             assert products == [denominators[j] if i == j else 0 for i in range(factor.size)]
 
 
+def test_kronecker_solve_matches_the_dense_inverse_rows():
+    # sizes 64 and 125, past Gauss-Jordan: the master-polynomial solve
+    # against the rows of factor.inverse() on a random integer rhs
+    rng = random.Random(11)
+    for d in (3, 4):
+        factor = VandermondeFactor(d)
+        q, denominators = factor.inverse()
+        r = [rng.randint(-10**6, 10**6) for _ in range(factor.size)]
+        solution = kronecker_solve(factor, 1, {(ell,): v for ell, v in enumerate(r, start=1)})
+        want = {(tau,): F(sum(map(mul, row, r)), den) for tau, row, den in zip(factor.taus, q, denominators)}
+        assert solution == want
+
+
 def test_kron_det_check_examples():
     eye2 = [[F(1), F(0)], [F(0), F(1)]]
     assert kron_det_check(eye2, eye2)
